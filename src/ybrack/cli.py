@@ -23,12 +23,13 @@ from fractions import Fraction
 from . import __version__, linalg, reference
 from .cohomology import (classify_h2, cocycle_space, coboundary_space,
                          entropic_basis)
-from .deformations import (DeformationFamily, NotInvertibleError, assemble,
+from .deformations import (DecompositionError, DeformationFamily,
+                           NotInvertibleError, assemble,
                            normalize_to_entropic, trace_square_formula,
                            ybe_deformed)
-from .racks import (Rack, RackError, RackSpecError, behavioral_classes,
-                    inner_group, rack_from_json, rack_from_name,
-                    square_reflection_quandle)
+from .racks import (ClosureCapExceeded, Rack, RackError, RackSpecError,
+                    behavioral_classes, inner_group, rack_from_json,
+                    rack_from_name, square_reflection_quandle)
 from .truncpoly import PolyMat, TruncPoly
 from .yangbaxter import (BraidWord, YBOperator, build_cq, build_jones,
                          build_tau, check_ybe, braid_rep)
@@ -199,7 +200,7 @@ def _parse_lambda(text: str, trunc: int) -> list[TruncPoly]:
 def cmd_deform(args) -> int:
     rack = load_rack(args.rack)
     basis = entropic_basis(rack, 2)
-    values = _parse_lambda(args.lam, args.trunc)
+    values = _parse_lambda(args.lam, args.config.truncation)
     if len(values) != basis.dim:
         raise InputError(
             f"rack has {basis.dim} entropic orbits, "
@@ -237,8 +238,10 @@ def cmd_normalize(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
     mat = PolyMat.from_json(data.get("matrix", data))
-    if args.trunc and args.trunc != mat.order:
-        mat = mat.lift(args.trunc)
+    # cutting or padding would change the deformation: work at its order
+    if args.trunc is not None and args.trunc != mat.order:
+        raise InputError(f"operator is over Q[h]/(h^{mat.order}), "
+                         f"not --trunc {args.trunc}")
     op = YBOperator(rack.size, mat)
     alpha, result = normalize_to_entropic(op, rack)
     payload = {**provenance(rack),
@@ -336,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized commands")
     parser.add_argument("--size-limit", type=int, default=8,
                         help="largest rack size for cohomology")
-    parser.add_argument("--trunc", type=int, default=3,
-                        help="truncation order for deformation commands")
+    parser.add_argument("--trunc", type=int, default=None,
+                        help="truncation order: deform builds over "
+                             "Q[h]/(h^N) (default 3); normalize requires "
+                             "the operator's own order")
     parser.add_argument("--inner-cap", type=int, default=10 ** 6,
                         help="cap on inner-group closure enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,12 +401,17 @@ def main(argv=None) -> int:
     try:
         args.config = Config(size_limit=args.size_limit,
                              inner_group_cap=args.inner_cap,
-                             truncation=args.trunc,
+                             truncation=(Config.truncation
+                                         if args.trunc is None
+                                         else args.trunc),
                              output_format=args.format)
         return args.func(args)
-    except (InputError, RackSpecError, RackError) as exc:
+    except (InputError, RackSpecError, RackError, ClosureCapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except DecompositionError as exc:
+        print(f"normalization failed: {exc}", file=sys.stderr)
+        return MATH_FAIL
     except (ValueError, linalg.SizeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -326,9 +326,21 @@ def entropic_basis(rack: Rack, degree: int) -> EntropicBasis:
     """Orbit basis of E^d.
 
     The componentwise action factors through the slots, so degree-d
-    orbits are products of single-slot orbits.
+    orbits are products of single-slot orbits.  Raises SizeOverflow
+    before allocating when the (#quasi-diagonal pairs)^d members, which
+    bound the (#slot orbits)^d orbits, times their d slots exceed
+    DEFAULT_ENTRY_LIMIT.
     """
+    if degree < 1:
+        raise ValueError(f"entropic basis degree must be >= 1, got {degree}")
     slots = _slot_orbits(rack)
+    pairs = sum(len(o) for o in slots)
+    # pairs^d * d > limit, for integers, iff pairs^d > limit // d
+    if linalg.power_exceeds(pairs, degree, DEFAULT_ENTRY_LIMIT // degree):
+        raise SizeOverflow(
+            f"degree-{degree} entropic basis for size {rack.size}: "
+            f"{pairs}^{degree} index pairs of {degree} slots exceed the "
+            f"entry limit {DEFAULT_ENTRY_LIMIT}")
     orbits = []
     for combo in itertools.product(range(len(slots)), repeat=degree):
         members = []

@@ -68,6 +68,12 @@ class SizeOverflow(RuntimeError):
     """A requested matrix would exceed the configured size limit."""
 
 
+def power_exceeds(base: int, exp: int, limit: int) -> bool:
+    """base ** exp > limit for base >= 1, without forming a huge power:
+    2 ** limit.bit_length() already exceeds the limit."""
+    return base ** min(exp, limit.bit_length()) > limit
+
+
 @dataclass(frozen=True)
 class SparseMat:
     """Sparse matrix over Fraction; entries holds nonzero values only."""

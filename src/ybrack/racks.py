@@ -169,7 +169,7 @@ class Rack:
         return _rho(self, y)
 
     def rho_inv(self, y: int) -> Perm:
-        return _rho(self, y).inverse()
+        return _rho_inv(self, y)
 
     def act_word(self, x: int, word) -> int:
         """x acted by the right translations of word, left to right."""
@@ -184,6 +184,11 @@ class Rack:
 @functools.lru_cache(maxsize=None)
 def _rho(rack: Rack, y: int) -> Perm:
     return Perm(tuple(rack.table[x][y] for x in range(rack.size)))
+
+
+@functools.lru_cache(maxsize=None)
+def _rho_inv(rack: Rack, y: int) -> Perm:
+    return _rho(rack, y).inverse()
 
 
 def validate_rack(table, quandle_required: bool = False) -> Rack:

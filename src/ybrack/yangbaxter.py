@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
+from .cohomology import DEFAULT_ENTRY_LIMIT
+from .linalg import SizeOverflow, power_exceeds
 from .racks import Rack, validate_rack
 from .truncpoly import PolyMat, TruncPoly
 
@@ -132,60 +135,91 @@ def build_jones(q, trunc: int = 1) -> YBOperator:
     return YBOperator(2, mat)
 
 
-def _apply_c1(op: YBOperator, vec: dict[int, TruncPoly]) -> dict[int, TruncPoly]:
-    """Apply c tensor I to a sparse vector on the tensor cube."""
-    n = op.rack_size
-    cols = op.mat.columns
-    out: dict[int, TruncPoly] = {}
-    for e, coeff in vec.items():
-        z = e % n
-        xy = e // n
-        for row, val in cols[xy].items():
-            key = row * n + z
-            term = val * coeff
-            if key in out:
-                term = out[key] + term
-            if term.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = term
-    return out
+def _scales(mat: PolyMat) -> tuple[int, int]:
+    """(d0, D) for the integer form of mat: d0 is the lcm of the
+    denominators of the constant term, D that of the denominators of the
+    higher h-coefficients of d0 * mat."""
+    d0 = 1
+    for _, _, v in mat.entries():
+        d0 = lcm(d0, v.coeffs[0].denominator)
+    big = 1
+    for _, _, v in mat.entries():
+        for a in v.coeffs[1:]:
+            big = lcm(big, a.denominator // gcd(a.denominator, d0))
+    return d0, big
 
 
-def _apply_c2(op: YBOperator, vec: dict[int, TruncPoly]) -> dict[int, TruncPoly]:
-    """Apply I tensor c to a sparse vector on the tensor cube."""
-    n = op.rack_size
-    nn = n * n
-    cols = op.mat.columns
-    out: dict[int, TruncPoly] = {}
-    for e, coeff in vec.items():
-        x = e // nn
-        yz = e % nn
-        for row, val in cols[yz].items():
-            key = x * nn + row
-            term = val * coeff
-            if key in out:
-                term = out[key] + term
-            if term.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = term
-    return out
+def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]]]]:
+    """Coefficient-major integer matrices C_k = d0 * big^k * c_k, with c_k
+    the h^k coefficient of mat, so that mat = (1/d0) sum_k u^k C_k for
+    u = h/big.  form[k][col] lists the (row, C_k[row, col]) nonzeros;
+    big must be a multiple of the D of _scales."""
+    scale = [d0 * big ** k for k in range(mat.order)]
+    form = [[[] for _ in range(mat.dim)] for _ in range(mat.order)]
+    for r, c, v in mat.entries():
+        for k, a in enumerate(v.coeffs):
+            if a:
+                form[k][c].append(
+                    (r, a.numerator * (scale[k] // a.denominator)))
+    return form
+
+
+def _apply_slots(form, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Apply an integer form to the two adjacent tensor slots of weights
+    base * n and base.
+
+    vec is coefficient-major: vec[k] maps a basis index to its integer
+    u^k coefficient, and products of degree >= len(vec) are dropped.  A
+    basis index splits as e = (hi * n^2 + pair) * base + lo, and the form
+    acts on pair.
+    """
+    nn = len(form[0])
+    order = len(vec)
+    out: list[dict[int, int]] = [{} for _ in range(order)]
+    for k2, part in enumerate(vec):
+        for e, a in part.items():
+            q, lo = divmod(e, base)
+            pair = q % nn
+            rest = (q - pair) * base + lo
+            for k1 in range(order - k2):
+                dst = out[k1 + k2]
+                for row, c in form[k1][pair]:
+                    key = rest + row * base
+                    dst[key] = dst.get(key, 0) + c * a
+    return [{e: a for e, a in part.items() if a} for part in out]
+
+
+def _apply_word(forms, n: int, strands: int, letters, vec):
+    """Apply a braid word to a coefficient-major vector on the
+    strands-fold tensor power; forms[letter < 0] is the form that
+    sigma_|letter| uses, and the last letter acts first."""
+    for letter in reversed(letters):
+        vec = _apply_slots(forms[letter < 0],
+                           n ** (strands - 1 - abs(letter)), vec)
+    return vec
+
+
+def _basis_vector(j: int, order: int) -> list[dict[int, int]]:
+    return [{j: 1}] + [{} for _ in range(order - 1)]
 
 
 def check_ybe(op: YBOperator) -> YbeVerdict:
     """Compare (c1 c2 c1) and (c2 c1 c2) on the tensor cube, exactly.
 
     Both triple products are formed column by column (never as dense
-    n^3 x n^3 arrays); the verdict carries the first differing basis
-    triple in lexicographic order.
+    n^3 x n^3 arrays) as the braid words sigma1 sigma2 sigma1 and
+    sigma2 sigma1 sigma2, in the integer form of the operator; the
+    verdict carries the first differing basis triple in lexicographic
+    order.  Each side is d0^3 times its rational value with h = D u, and
+    u -> h / D is invertible, so the integer columns agree exactly when
+    the rational ones do.
     """
     n = op.rack_size
-    one = TruncPoly.one(op.trunc)
+    forms = [_int_form(op.mat, *_scales(op.mat))]
     for e in range(n ** 3):
-        start = {e: one}
-        lhs = _apply_c1(op, _apply_c2(op, _apply_c1(op, start)))
-        rhs = _apply_c2(op, _apply_c1(op, _apply_c2(op, start)))
+        start = _basis_vector(e, op.trunc)
+        lhs = _apply_word(forms, n, 3, (1, 2, 1), start)
+        rhs = _apply_word(forms, n, 3, (2, 1, 2), start)
         if lhs != rhs:
             x, rest = divmod(e, n * n)
             y, z = divmod(rest, n)
@@ -198,43 +232,41 @@ def braid_rep(op: YBOperator, word: BraidWord) -> PolyMat:
 
     The generator sigma_i acts as c on tensor factors i, i+1; a word is
     read left to right as a composition of maps, so the first letter is
-    applied last to vectors (braids act on the left).
+    applied last to vectors (braids act on the left).  Raises SizeOverflow
+    before allocating when the n^k columns exceed DEFAULT_ENTRY_LIMIT.
     """
     n = op.rack_size
     k = word.strands
+    order = op.trunc
+    if power_exceeds(n, k, DEFAULT_ENTRY_LIMIT):
+        raise SizeOverflow(
+            f"braid matrix of dimension {n}^{k} exceeds the entry limit "
+            f"{DEFAULT_ENTRY_LIMIT}")
     dim = n ** k
-    cols = op.mat.columns
-    inv_cols = None
+    mats = [op.mat]
     if any(l < 0 for l in word.letters):
-        inv_cols = op.mat.inverse().columns
-
-    def apply_letter(letter: int, vec: dict[int, TruncPoly]):
-        i = abs(letter)
-        use = cols if letter > 0 else inv_cols
-        base = n ** (k - 1 - i)  # weight of tensor slot i (0-based slot i)
-        out: dict[int, TruncPoly] = {}
-        for e, coeff in vec.items():
-            lo = e % base
-            pair = (e // base) % (n * n)
-            hi = e // (base * n * n)
-            for row, val in use[pair].items():
-                key = (hi * n * n + row) * base + lo
-                term = val * coeff
-                if key in out:
-                    term = out[key] + term
-                if term.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = term
-        return out
-
-    result = PolyMat(dim, op.trunc)
-    one = TruncPoly.one(op.trunc)
+        mats.append(op.mat.inverse())
+    scales = [_scales(m) for m in mats]
+    # one u = h/D for c and its inverse, so that their products stay in u
+    big = lcm(*(b for _, b in scales))
+    forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
+    d = 1
+    for letter in word.letters:
+        d *= scales[letter < 0][0]
+    dens = [d * big ** j for j in range(order)]
+    # entries repeat across columns: build each TruncPoly once
+    polys: dict[tuple[int, ...], TruncPoly] = {}
+    result = PolyMat(dim, order)
     for j in range(dim):
-        vec = {j: one}
-        for letter in reversed(word.letters):
-            vec = apply_letter(letter, vec)
-        result.columns[j] = vec
+        vec = _apply_word(forms, n, k, word.letters, _basis_vector(j, order))
+        col = result.columns[j]
+        for i in sorted(set().union(*vec)):
+            key = tuple(part.get(i, 0) for part in vec)
+            poly = polys.get(key)
+            if poly is None:
+                poly = polys[key] = TruncPoly(order, tuple(
+                    Fraction(a, den) for a, den in zip(key, dens)))
+            col[i] = poly
     return result
 
 

@@ -109,6 +109,7 @@ def test_deform_check_and_normalize_round_trip(tmp_path, capsys):
     code, data, _ = run_json(capsys, "deform", "--rack", "dihedral:3",
                              "--lambda", lam, "--check")
     assert code == 0 and data["ybe"] is True
+    assert data["matrix"]["trunc"] == 3
     op_path = tmp_path / "op.json"
     op_path.write_text(json.dumps({"matrix": data["matrix"]}))
     code, norm, _ = run_json(capsys, "normalize", "--rack", "dihedral:3",
@@ -154,3 +155,67 @@ def test_config_defaults():
     cfg = Config()
     assert (cfg.size_limit, cfg.inner_group_cap, cfg.truncation) \
         == (8, 10 ** 6, 3)
+
+
+def test_inner_cap_exceeded_is_input_error(capsys):
+    code, _, err = run(capsys, "--inner-cap", "2", "validate", "dihedral:5")
+    assert code == 2
+    assert err.startswith("input error:") and "cap 2" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_decomposition_error_is_math_failure(tmp_path, capsys, monkeypatch):
+    import ybrack.cli
+    from ybrack.deformations import DecompositionError
+
+    def fail(op, rack):
+        raise DecompositionError("degree-2 term is not entropic + coboundary")
+
+    lam = json.dumps([["0", "1/2", "-1/3"]])
+    code, data, _ = run_json(capsys, "deform", "--rack", "dihedral:3",
+                             "--lambda", lam)
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"matrix": data["matrix"]}))
+    monkeypatch.setattr(ybrack.cli, "normalize_to_entropic", fail)
+    code, out, err = run(capsys, "normalize", "--rack", "dihedral:3",
+                         "--input", str(op_path))
+    assert code == 1 and out == ""
+    assert "degree-2 term" in err and "Traceback" not in err
+
+
+def test_normalize_keeps_the_operator_order(tmp_path, capsys):
+    lam = json.dumps([["0", "1/2", "-1/3", "2/5", "3"]])
+    code, data, _ = run_json(capsys, "--trunc", "5", "deform", "--rack",
+                             "dihedral:3", "--lambda", lam)
+    assert code == 0 and data["matrix"]["trunc"] == 5
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"matrix": data["matrix"]}))
+    for flags in ([], ["--trunc", "5"]):
+        code, norm, _ = run_json(capsys, *flags, "normalize", "--rack",
+                                 "dihedral:3", "--input", str(op_path))
+        assert code == 0
+        assert norm["alpha"]["trunc"] == norm["operator"]["trunc"] == 5
+    for other in ("3", "6"):
+        code, _, err = run(capsys, "--trunc", other, "normalize", "--rack",
+                           "dihedral:3", "--input", str(op_path))
+        assert code == 2 and "h^5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^24 columns
+    ["braid", "--rack", "trivial:2", "--word", "1", "--strands", "24"],
+    # 4^12 quasi-diagonal index pairs of 12 slots
+    ["entropic-basis", "--rack", "trivial:2", "--degree", "12"],
+], ids=["braid", "entropic-basis"])
+def test_oversized_requests_refused_before_allocating(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "entry limit" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_entropic_basis_rejects_nonpositive_degree(degree, capsys):
+    code, out, err = run(capsys, "entropic-basis", "--rack", "dihedral:3",
+                         "--degree", degree)
+    assert code == 2 and out == ""
+    assert ">= 1" in err

@@ -225,6 +225,17 @@ def test_entropic_basis_counts():
     assert entropic_basis(tetrahedral_quandle(), 2).dim == 1
 
 
+def test_entropic_basis_guards_degree_and_size():
+    for degree in (0, -1):
+        with pytest.raises(ValueError):
+            entropic_basis(dihedral_rack(3), degree)
+    # 4^12 index pairs of 12 slots; one pair but 10^12 slots
+    with pytest.raises(SizeOverflow):
+        entropic_basis(trivial_rack(2), 12)
+    with pytest.raises(SizeOverflow):
+        entropic_basis(trivial_rack(1), 10 ** 12)
+
+
 def test_entropic_basis_orbits_are_disjoint_quasidiagonal_and_closed():
     from ybrack.racks import class_ids
     for rack in [square_reflection_quandle(), dihedral_rack(6)]:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS_IDS, CORPUS_RACKS
+from conftest import (CORPUS_IDS, CORPUS_RACKS, entropic_operator,
+                      unit_perturbation)
+from ybrack.linalg import SizeOverflow
 from ybrack.racks import dihedral_rack, square_reflection_quandle, \
     transposition_quandle, trivial_rack
 from ybrack.reference import (DIHEDRAL3_MATRIX,
@@ -76,36 +78,105 @@ def test_jones_satisfies_ybe():
 
 def _dense_triple_products(op):
     """Brute-force oracle: both sides of the braid relation as dense
-    matrices on the tensor cube, built from plain entry arithmetic."""
+    matrices on the tensor cube, built from plain entry arithmetic over
+    Q[h]/(h^N)."""
     n = op.rack_size
     dim = n ** 3
-    c = [[op.mat.get(r, col).constant for col in range(n * n)]
+    zero = TruncPoly.zero(op.trunc)
+    c = [[op.mat.get(r, col) for col in range(n * n)]
          for r in range(n * n)]
 
     def mat_c1():
-        m = [[F(0)] * dim for _ in range(dim)]
+        m = [[zero] * dim for _ in range(dim)]
         for x in range(n * n):
             for y in range(n * n):
-                if c[x][y]:
+                if not c[x][y].is_zero():
                     for z in range(n):
                         m[x * n + z][y * n + z] = c[x][y]
         return m
 
     def mat_c2():
-        m = [[F(0)] * dim for _ in range(dim)]
+        m = [[zero] * dim for _ in range(dim)]
         for x in range(n * n):
             for y in range(n * n):
-                if c[x][y]:
+                if not c[x][y].is_zero():
                     for z in range(n):
                         m[z * n * n + x][z * n * n + y] = c[x][y]
         return m
 
     def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(dim))
+        return [[sum((a[i][k] * b[k][j] for k in range(dim)), zero)
                  for j in range(dim)] for i in range(dim)]
 
     c1, c2 = mat_c1(), mat_c2()
     return mul(mul(c1, c2), c1), mul(mul(c2, c1), c2)
+
+
+def _dense_witness(op):
+    """First basis triple whose column differs in the dense oracle."""
+    n = op.rack_size
+    lhs, rhs = _dense_triple_products(op)
+    dim = n ** 3
+    for j in range(dim):
+        if any(lhs[i][j] != rhs[i][j] for i in range(dim)):
+            return (j // (n * n), (j // n) % n, j % n)
+    return None
+
+
+def _jones_times(trunc, entries):
+    """The Jones operator at q = 1/3 composed with I + h f, where f has the
+    given (row, col, (h^0, h^1, ...) coefficients) entries."""
+    f = PolyMat.from_entries(
+        4, trunc, [(r, c, TruncPoly.from_coeffs([0] + list(v), trunc))
+                   for r, c, v in entries])
+    return YBOperator(2, build_jones(F(1, 3), trunc).mat.compose(
+        PolyMat.identity(4, trunc).add(f)))
+
+
+def _jones_series(trunc):
+    """The Jones operator at q(h) = 3/2 + h/5 - h^2/7, scaled by
+    1/2 + h/3 - h^2/5 and conjugated by a rational unit beta (x) beta.  It
+    braids, because the relation holds identically in q and survives
+    scalars and conjugation; entries have mixed denominators in every
+    h-degree, and its inverse has a prime (3) in the denominators of its
+    higher h-coefficients that the operator's own do not have."""
+    q = TruncPoly.from_coeffs([F(3, 2), F(1, 5), F(-1, 7)], trunc)
+    s = TruncPoly.from_coeffs([F(1, 2), F(1, 3), F(-1, 5)], trunc)
+    mat = PolyMat.from_entries(4, trunc, [
+        (0, 0, q * s), (2, 1, q * q * s), (1, 2, q * q * s),
+        (2, 2, (q - q * q * q) * s), (3, 3, q * s)])
+    beta = unit_perturbation(2, random.Random(trunc), trunc)
+    bb = beta.tensor(beta)
+    return YBOperator(2, bb.inverse().compose(mat).compose(bb))
+
+
+def _dihedral3_broken(trunc):
+    """A rational entropic deformation of dihedral:3 plus one entry that
+    breaks the braid relation."""
+    op = entropic_operator(dihedral_rack(3), random.Random(3), trunc)
+    mat = op.mat.add(PolyMat.from_entries(
+        9, trunc, [(4, 7, TruncPoly.h_power(1, trunc, F(2, 5)))]))
+    return YBOperator(3, mat)
+
+
+# (id, operator, expected outcome): "holds", "fails" at any triple, or
+# "fails-late" at a triple after (0, 0, 0)
+TRUNCATED_CASES = [
+    ("jones-series-2", lambda: _jones_series(2), "holds"),
+    ("jones-series-3", lambda: _jones_series(3), "holds"),
+    ("jones-hf-2", lambda: _jones_times(
+        2, [(1, 2, (F(1, 2), F(-2, 5))), (3, 0, (F(3, 7), F(1, 3)))]),
+     "fails"),
+    ("jones-hf-3", lambda: _jones_times(
+        3, [(1, 2, (F(1, 2), F(-2, 5))), (3, 0, (F(3, 7), F(1, 3)))]),
+     "fails"),
+    ("jones-hf-late-2", lambda: _jones_times(
+        2, [(2, 3, (F(1, 2), F(-2, 5))), (3, 3, (F(3, 7), F(5, 6)))]),
+     "fails-late"),
+    ("jones-hf-late-3", lambda: _jones_times(
+        3, [(3, 3, (F(-1, 6), F(2, 5)))]), "fails-late"),
+    ("dihedral3-broken-2", lambda: _dihedral3_broken(2), "fails-late"),
+]
 
 
 def test_check_ybe_failure_witness_against_dense_oracle():
@@ -115,17 +186,30 @@ def test_check_ybe_failure_witness_against_dense_oracle():
     broken = YBOperator(2, mat)
     verdict = check_ybe(broken)
     assert not verdict.ok
-    lhs, rhs = _dense_triple_products(broken)
-    bad_cols = [j for j in range(8)
-                if any(lhs[i][j] != rhs[i][j] for i in range(8))]
-    first = min(bad_cols)
-    assert verdict.witness == (first // 4, (first // 2) % 2, first % 2)
+    assert verdict.witness == _dense_witness(broken)
 
 
 def test_check_ybe_matches_dense_oracle_on_passing_case():
     op = build_jones(2)
     lhs, rhs = _dense_triple_products(op)
     assert lhs == rhs and check_ybe(op).ok
+
+
+@pytest.mark.parametrize("build, expect",
+                         [(b, e) for _, b, e in TRUNCATED_CASES],
+                         ids=[name for name, _, _ in TRUNCATED_CASES])
+def test_check_ybe_matches_dense_oracle_over_truncated_polynomials(build,
+                                                                   expect):
+    op = build()
+    witness = _dense_witness(op)
+    verdict = check_ybe(op)
+    assert (verdict.ok, verdict.witness) == (witness is None, witness)
+    if expect == "holds":
+        assert witness is None
+    else:
+        assert witness is not None
+        if expect == "fails-late":
+            assert witness != (0, 0, 0)
 
 
 # -- braid representations --------------------------------------------------
@@ -174,6 +258,48 @@ def test_braid_rep_is_homomorphism_on_concatenation():
         b = braid_rep(op, BraidWord(3, w2))
         ab = braid_rep(op, BraidWord(3, w1 + w2))
         assert ab == a.compose(b)
+
+
+# rational deformations: a non-integral constant term (at trunc 2 the
+# inverse's h-coefficients need the shared D), and a trunc-3 deformation of
+# a rack operator on three-dimensional slots
+RATIONAL_OPERATORS = [
+    ("jones-series-2", lambda: _jones_series(2)),
+    ("jones-series-3", lambda: _jones_series(3)),
+    ("dihedral3-entropic-3",
+     lambda: entropic_operator(dihedral_rack(3), random.Random(3), 3)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in RATIONAL_OPERATORS],
+                         ids=[name for name, _ in RATIONAL_OPERATORS])
+def test_braid_generator_inverse_cancels_over_rationals(build):
+    op = build()
+    n, trunc = op.rack_size, op.trunc
+    assert braid_rep(op, BraidWord(2, (1, -1))) \
+        == PolyMat.identity(n * n, trunc)
+    assert braid_rep(op, BraidWord(3, (-2, 2))) \
+        == PolyMat.identity(n ** 3, trunc)
+
+
+@pytest.mark.parametrize("build", [b for _, b in RATIONAL_OPERATORS],
+                         ids=[name for name, _ in RATIONAL_OPERATORS])
+def test_braid_rep_is_homomorphism_on_concatenation_over_rationals(build):
+    op = build()
+    rng = random.Random(17)
+    for _ in range(3):
+        w1 = tuple(rng.choice([1, 2, -1, -2]) for _ in range(3))
+        w2 = tuple(rng.choice([1, 2, -1, -2]) for _ in range(3))
+        a = braid_rep(op, BraidWord(3, w1))
+        b = braid_rep(op, BraidWord(3, w2))
+        ab = braid_rep(op, BraidWord(3, w1 + w2))
+        assert ab == a.compose(b)
+
+
+def test_braid_rep_refuses_oversized_matrix_before_allocating():
+    # 2^24 columns: over the entry limit, refused before any column exists
+    with pytest.raises(SizeOverflow):
+        braid_rep(build_tau(2), BraidWord(24, ()))
 
 
 def test_braid_rep_with_jones_operator():
