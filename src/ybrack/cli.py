@@ -135,7 +135,7 @@ def cmd_braid(args) -> int:
     mat = braid_rep(build_cq(rack), word)
     payload = {**provenance(rack), "strands": word.strands,
                "letters": list(word.letters), "matrix": mat.to_json()}
-    nnz = sum(len(c) for c in mat.columns)
+    nnz = sum(1 for _ in mat.entries())
     emit(args, payload, [
         f"braid on {word.strands} strands, word {list(word.letters)}",
         f"matrix of dimension {mat.dim} with {nnz} nonzero entries",
@@ -188,13 +188,11 @@ def _parse_lambda(text: str, trunc: int) -> list[TruncPoly]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed lambda JSON: {exc}") from exc
-    out = []
-    for item in raw:
-        if isinstance(item, list):
-            out.append(TruncPoly.from_json(item, trunc))
-        else:
-            out.append(TruncPoly.const(Fraction(str(item)), trunc))
-    return out
+    if not isinstance(raw, list):
+        raise InputError("lambda must be a JSON array, one value per orbit")
+    return [TruncPoly.from_json(item if isinstance(item, list)
+                                else [str(item)], trunc)
+            for item in raw]
 
 
 def cmd_deform(args) -> int:
@@ -237,7 +235,9 @@ def cmd_normalize(args) -> int:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
-    mat = PolyMat.from_json(data.get("matrix", data))
+    if isinstance(data, dict) and "matrix" in data:
+        data = data["matrix"]
+    mat = PolyMat.from_json(data)
     # cutting or padding would change the deformation: work at its order
     if args.trunc is not None and args.trunc != mat.order:
         raise InputError(f"operator is over Q[h]/(h^{mat.order}), "

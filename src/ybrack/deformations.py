@@ -84,21 +84,14 @@ class DeformationFamily:
         return self.parameters[0].order if self.parameters else 1
 
     def perturbation(self) -> PolyMat:
-        """f(lambda) = sum of lambda_k times the orbit indicators."""
-        n = self.rack.size
-        out = PolyMat(n * n, self.trunc)
-        for lam, cochain in zip(self.parameters, self.basis.cochains()):
-            if lam.is_zero():
-                continue
-            for (row, col), v in cochain.entries.items():
-                cur = out.columns[col].get(row)
-                term = lam * v
-                term = term if cur is None else cur + term
-                if term.is_zero():
-                    out.columns[col].pop(row, None)
-                else:
-                    out.columns[col][row] = term
-        return out
+        """f(lambda) = sum of lambda_k times the orbit indicators.  The
+        orbits partition the index pairs, so an entry of f is the
+        lambda_k of its orbit."""
+        return PolyMat.from_entries(
+            self.rack.size ** 2, self.trunc,
+            ((row, col, lam)
+             for lam, indicator in zip(self.parameters, self.basis.cochains())
+             for row, col in indicator.entries))
 
 
 def assemble(fam: DeformationFamily) -> YBOperator:

@@ -21,31 +21,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for i, v in b.items():
-        w = out.get(i, ZERO) + v
-        if w:
-            out[i] = w
-        else:
-            out.pop(i, None)
-    return out
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for i, v in b.items():
-        w = out.get(i, ZERO) - v
-        if w:
-            out[i] = w
-        else:
-            out.pop(i, None)
-    return out
-
-def vec_scale(a: Vec, s: Fraction) -> Vec:
-    if not s:
-        return {}
-    return {i: s * v for i, v in a.items()}
-
 def vec_axpy(a: Vec, s: Fraction, b: Vec) -> Vec:
     """a + s*b, dropping zeros."""
     if not s:
@@ -206,6 +181,15 @@ class SparseMat:
     def sub(self, other: "SparseMat") -> "SparseMat":
         return self.add(other.scaled(-1))
 
+    def kron(self, other: "SparseMat") -> "SparseMat":
+        """Kronecker product: row (i, k) is i * other.rows + k, column
+        (j, l) is j * other.cols + l."""
+        return SparseMat(
+            self.rows * other.rows, self.cols * other.cols,
+            {(r1 * other.rows + r2, c1 * other.cols + c2): v1 * v2
+             for (r1, c1), v1 in self.entries.items()
+             for (r2, c2), v2 in other.entries.items()})
+
     def __eq__(self, other):
         if not isinstance(other, SparseMat):
             return NotImplemented
@@ -247,6 +231,26 @@ def rref(vectors: list[Vec]) -> tuple[list[Vec], list[int]]:
             if coeff:
                 pivots[qc] = vec_axpy(qrow, -coeff, prow)
     return [pivots[c] for c in piv_cols], piv_cols
+
+
+def invert_rational(m: SparseMat) -> SparseMat:
+    """Exact inverse of a rational square matrix via echelon reduction."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices can be inverted")
+    n = m.rows
+    aug = []
+    for i, row in enumerate(m.row_vectors()):
+        row[n + i] = ONE
+        aug.append(row)
+    red, piv = rref(aug)
+    if piv[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    entries = {}
+    for i, row in enumerate(red):
+        for c, v in row.items():
+            if c >= n:
+                entries[(i, c - n)] = v
+    return SparseMat(n, n, entries)
 
 
 @dataclass(frozen=True)
@@ -414,32 +418,23 @@ def rank_mod_p(m: SparseMat, p: int) -> int:
     return len(pivots)
 
 
-def frac_to_str(v: Fraction) -> str:
-    return str(v)
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def mat_to_json(m: SparseMat) -> dict:
     """Row-major coordinate triples [row, col, "p/q"]."""
-    triples = [[r, c, frac_to_str(v)]
+    triples = [[r, c, str(v)]
                for (r, c), v in sorted(m.entries.items())]
     return {"rows": m.rows, "cols": m.cols, "entries": triples}
 
 
 def mat_from_json(data: dict) -> SparseMat:
-    return SparseMat.from_triples(
-        data["rows"], data["cols"],
-        [(r, c, frac_from_str(v)) for r, c, v in data["entries"]])
+    return SparseMat.from_triples(data["rows"], data["cols"],
+                                  data["entries"])
 
 
 def vec_to_json(v: Vec, dim: int) -> dict:
-    return {"dim": dim, "entries": [[i, frac_to_str(x)]
+    return {"dim": dim, "entries": [[i, str(x)]
                                     for i, x in sorted(v.items())]}
 
 
 def vec_from_json(data: dict) -> tuple[Vec, int]:
-    v = {i: frac_from_str(x) for i, x in data["entries"]}
+    v = {i: Fraction(x) for i, x in data["entries"]}
     return {i: x for i, x in v.items() if x}, data["dim"]

@@ -127,9 +127,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
-
 
 def mulclose(generators: list[Perm], cap: int) -> set[Perm]:
     """Breadth-first product closure of a generator set."""

@@ -6,6 +6,12 @@ All arithmetic discards terms of degree >= N; order 1 degenerates to
 plain rational arithmetic.  A truncated polynomial is invertible iff its
 constant coefficient is nonzero, and the inverse is computed by the
 geometric-series recurrence, order by order.
+
+PolyMat stores a matrix over Q[h]/(h^N) coefficient-major, as one
+rational SparseMat per power of h, so its products are truncated
+convolutions of rational matrix products.  This module is the only one
+that knows that layout; other modules read coefficient matrices or
+per-entry views.
 """
 
 from __future__ import annotations
@@ -13,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseMat, DimensionMismatch, frac_from_str, frac_to_str
+from .linalg import SparseMat, DimensionMismatch, invert_rational
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -150,30 +155,38 @@ class TruncPoly:
         return f"TruncPoly({body}; O(h^{self.order}))"
 
     def to_json(self) -> list[str]:
-        return [frac_to_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @staticmethod
     def from_json(data, order: int | None = None) -> "TruncPoly":
-        return TruncPoly.from_coeffs([frac_from_str(c) for c in data], order)
+        """Inverse of to_json, padded to order.  Malformed input raises
+        ValueError; so does a longer array, since cutting it would change
+        the value."""
+        if not isinstance(data, list):
+            raise ValueError("coefficients must be a JSON array")
+        if order is not None and len(data) > order:
+            raise ValueError(f"{len(data)} coefficients exceed the "
+                             f"truncation order {order}")
+        try:
+            coeffs = [Fraction(c) for c in data]
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coefficient: {exc}") from exc
+        return TruncPoly.from_coeffs(coeffs, order)
 
 
 class PolyMat:
-    """Square sparse matrix over TruncPoly, stored column-wise.
+    """Square sparse matrix over TruncPoly, stored coefficient-major:
+    parts[k] is the rational matrix of the h^k coefficients."""
 
-    columns[j] maps a row index to a nonzero TruncPoly entry.
-    """
-
-    def __init__(self, dim: int, order: int,
-                 columns: list[dict[int, TruncPoly]] | None = None):
+    def __init__(self, dim: int, order: int, parts=None):
         self.dim = dim
         self.order = order
-        self.columns = columns if columns is not None \
-            else [dict() for _ in range(dim)]
+        self.parts: tuple[SparseMat, ...] = tuple(parts) if parts is not None \
+            else (SparseMat(dim, dim),) * order
 
     @staticmethod
     def identity(dim: int, order: int) -> "PolyMat":
-        one = TruncPoly.one(order)
-        return PolyMat(dim, order, [{j: one} for j in range(dim)])
+        return PolyMat.from_rational(SparseMat.identity(dim), order)
 
     @staticmethod
     def zero(dim: int, order: int) -> "PolyMat":
@@ -181,131 +194,99 @@ class PolyMat:
 
     @staticmethod
     def from_entries(dim: int, order: int, entries) -> "PolyMat":
-        """entries: iterable of (row, col, TruncPoly or scalar)."""
-        m = PolyMat(dim, order)
+        """entries: iterable of (row, col, TruncPoly or scalar); a later
+        entry at the same position replaces an earlier one."""
+        polys: dict[tuple[int, int], TruncPoly] = {}
         for r, c, v in entries:
             if not isinstance(v, TruncPoly):
                 v = TruncPoly.const(v, order)
             elif v.order != order:
                 raise ValueError("mixed truncation orders in matrix")
             if not v.is_zero():
-                m.columns[c][r] = v
-        return m
+                polys[(r, c)] = v
+        parts: list[dict[tuple[int, int], Fraction]] = \
+            [{} for _ in range(order)]
+        for key, v in polys.items():
+            for k, a in enumerate(v.coeffs):
+                if a:
+                    parts[k][key] = a
+        return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
 
     @staticmethod
     def from_rational(mat: SparseMat, order: int, h_degree: int = 0) -> "PolyMat":
         """Embed a rational matrix as coefficient of h^h_degree."""
         if mat.rows != mat.cols:
             raise DimensionMismatch("PolyMat is square")
-        m = PolyMat(mat.rows, order)
-        for (r, c), v in mat.entries.items():
-            p = TruncPoly.h_power(h_degree, order, v)
-            if not p.is_zero():
-                m.columns[c][r] = p
-        return m
+        empty = SparseMat(mat.rows, mat.cols)
+        return PolyMat(mat.rows, order,
+                       (mat if k == h_degree else empty for k in range(order)))
 
     def get(self, r: int, c: int) -> TruncPoly:
-        return self.columns[c].get(r, TruncPoly.zero(self.order))
+        return TruncPoly(self.order, tuple(p.get(r, c) for p in self.parts))
 
     def entries(self):
-        for c, col in enumerate(self.columns):
-            for r, v in col.items():
-                yield r, c, v
+        """(row, col, TruncPoly) for each nonzero entry, row-major."""
+        coeffs: dict[tuple[int, int], list[Fraction]] = {}
+        for k, part in enumerate(self.parts):
+            for key, v in part.entries.items():
+                coeffs.setdefault(key, [ZERO] * self.order)[k] = v
+        for r, c in sorted(coeffs):
+            yield r, c, TruncPoly(self.order, tuple(coeffs[(r, c)]))
 
     def lift(self, order: int) -> "PolyMat":
-        m = PolyMat(self.dim, order)
-        for r, c, v in self.entries():
-            w = v.lift(order)
-            if not w.is_zero():
-                m.columns[c][r] = w
-        return m
+        """Reinterpret at a different truncation order (pad or cut)."""
+        empty = SparseMat(self.dim, self.dim)
+        return PolyMat(self.dim, order,
+                       (self.parts + (empty,) * order)[:order])
 
     def coefficient_matrix(self, k: int) -> SparseMat:
         """Rational matrix of the h^k coefficients."""
-        entries = {}
-        for r, c, v in self.entries():
-            coeff = v.coeff(k)
-            if coeff:
-                entries[(r, c)] = coeff
-        return SparseMat(self.dim, self.dim, entries)
+        return self.parts[k] if k < self.order \
+            else SparseMat(self.dim, self.dim)
 
     @property
     def constant(self) -> SparseMat:
-        return self.coefficient_matrix(0)
-
-    def apply(self, vec: dict[int, TruncPoly]) -> dict[int, TruncPoly]:
-        out: dict[int, TruncPoly] = {}
-        for j, coeff in vec.items():
-            for r, v in self.columns[j].items():
-                term = v * coeff
-                if r in out:
-                    term = out[r] + term
-                if term.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = term
-        return out
+        return self.parts[0]
 
     def compose(self, other: "PolyMat") -> "PolyMat":
         """self after other (matrix product self @ other)."""
         if self.dim != other.dim or self.order != other.order:
             raise DimensionMismatch("compose shape/order mismatch")
-        out = PolyMat(self.dim, self.order)
-        for j, col in enumerate(other.columns):
-            if col:
-                out.columns[j] = self.apply(col)
-        return out
+        return PolyMat(self.dim, self.order, _convolve(
+            self.parts, other.parts, SparseMat.matmul,
+            SparseMat(self.dim, self.dim)))
 
     def add(self, other: "PolyMat") -> "PolyMat":
         if self.dim != other.dim or self.order != other.order:
             raise DimensionMismatch("add shape/order mismatch")
-        out = PolyMat(self.dim, self.order)
-        for j in range(self.dim):
-            col = dict(self.columns[j])
-            for r, v in other.columns[j].items():
-                s = col.get(r)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    col.pop(r, None)
-                else:
-                    col[r] = s
-            out.columns[j] = col
-        return out
+        return PolyMat(self.dim, self.order,
+                       (a.add(b) for a, b in zip(self.parts, other.parts)))
 
     def sub(self, other: "PolyMat") -> "PolyMat":
         return self.add(other.scaled(-1))
 
     def scaled(self, s) -> "PolyMat":
+        """Multiply by a scalar or a TruncPoly of the same order."""
         if not isinstance(s, TruncPoly):
             s = TruncPoly.const(s, self.order)
-        out = PolyMat(self.dim, self.order)
-        for j, col in enumerate(self.columns):
-            for r, v in col.items():
-                w = v * s
-                if not w.is_zero():
-                    out.columns[j][r] = w
-        return out
+        elif s.order != self.order:
+            raise ValueError("mixed truncation orders")
+        return PolyMat(self.dim, self.order, _convolve(
+            s.coeffs, self.parts, lambda a, m: m.scaled(a),
+            SparseMat(self.dim, self.dim)))
 
     def tensor(self, other: "PolyMat") -> "PolyMat":
         """Kronecker product; basis index of (i, j) is i*other.dim + j."""
         if self.order != other.order:
             raise ValueError("mixed truncation orders")
         d = self.dim * other.dim
-        out = PolyMat(d, self.order)
-        for r1, c1, v1 in self.entries():
-            for r2, c2, v2 in other.entries():
-                v = v1 * v2
-                if not v.is_zero():
-                    out.columns[c1 * other.dim + c2][r1 * other.dim + r2] = v
-        return out
+        return PolyMat(d, self.order, _convolve(
+            self.parts, other.parts, SparseMat.kron, SparseMat(d, d)))
 
     def trace(self) -> TruncPoly:
-        t = TruncPoly.zero(self.order)
-        for j, col in enumerate(self.columns):
-            v = col.get(j)
-            if v is not None:
-                t = t + v
-        return t
+        return TruncPoly(self.order, tuple(
+            sum((v for (r, c), v in p.entries.items() if r == c), ZERO)
+            for p in self.parts))
 
     def power(self, k: int) -> "PolyMat":
         if k < 0:
@@ -322,75 +303,67 @@ class PolyMat:
 
     def inverse(self) -> "PolyMat":
         """Invert the constant term exactly, then lift order by order."""
-        c0 = self.constant
-        inv0 = invert_rational(c0)
-        if self.order == 1:
-            return PolyMat.from_rational(inv0, 1)
+        inv0 = invert_rational(self.parts[0])
         # X_k = -inv0 * sum_{j=1..k} M_j X_{k-j}
-        m_parts = [self.coefficient_matrix(k) for k in range(self.order)]
-        x_parts = [inv0]
+        m, x = self.parts, [inv0]
         for k in range(1, self.order):
-            acc = SparseMat(self.dim, self.dim, {})
+            acc = SparseMat(self.dim, self.dim)
             for j in range(1, k + 1):
-                if m_parts[j].entries and x_parts[k - j].entries:
-                    acc = acc.add(m_parts[j].matmul(x_parts[k - j]))
-            x_parts.append(inv0.matmul(acc).scaled(-1))
-        out = PolyMat(self.dim, self.order)
-        for k, part in enumerate(x_parts):
-            for (r, c), v in part.entries.items():
-                cur = out.columns[c].get(r, TruncPoly.zero(self.order))
-                out.columns[c][r] = cur + TruncPoly.h_power(k, self.order, v)
-        return out
+                if m[j].entries and x[k - j].entries:
+                    acc = acc.add(m[j].matmul(x[k - j]))
+            x.append(inv0.matmul(acc).scaled(-1))
+        return PolyMat(self.dim, self.order, x)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
-        if self.dim != other.dim or self.order != other.order:
-            return False
-        return dict(self._items()) == dict(other._items())
-
-    def _items(self):
-        for r, c, v in self.entries():
-            if not v.is_zero():
-                yield (r, c), v
+        return (self.dim, self.order, self.parts) \
+            == (other.dim, other.order, other.parts)
 
     def __repr__(self):
-        nnz = sum(len(c) for c in self.columns)
+        nnz = len(set().union(*(p.entries for p in self.parts)))
         return f"PolyMat(dim={self.dim}, order={self.order}, nnz={nnz})"
 
     def to_json(self) -> dict:
-        triples = sorted(((r, c, v.to_json()) for r, c, v in self.entries()
-                          if not v.is_zero()))
         return {"dim": self.dim, "trunc": self.order,
-                "entries": [[r, c, coeffs] for r, c, coeffs in triples]}
+                "entries": [[r, c, v.to_json()]
+                            for r, c, v in self.entries()]}
 
     @staticmethod
-    def from_json(data: dict) -> "PolyMat":
-        order = data["trunc"]
-        return PolyMat.from_entries(
-            data["dim"], order,
-            [(r, c, TruncPoly.from_json(coeffs, order))
-             for r, c, coeffs in data["entries"]])
+    def from_json(data) -> "PolyMat":
+        """Inverse of to_json.  Malformed input raises ValueError."""
+        if not isinstance(data, dict) \
+                or not {"dim", "trunc", "entries"} <= data.keys():
+            raise ValueError("matrix JSON must be an object with "
+                             "dim, trunc and entries")
+        dim, order, entries = data["dim"], data["trunc"], data["entries"]
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"matrix dim must be an integer >= 0, not {dim!r}")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"trunc must be an integer >= 1, not {order!r}")
+        if not isinstance(entries, list):
+            raise ValueError("matrix entries must be a JSON array")
+        triples = []
+        for i, item in enumerate(entries):
+            if not (isinstance(item, list) and len(item) == 3
+                    and all(type(x) is int and 0 <= x < dim
+                            for x in item[:2])):
+                raise ValueError(f"matrix entry {i} is not [row, col, "
+                                 f"coefficients] with 0 <= row, col < {dim}")
+            r, c, coeffs = item
+            triples.append((r, c, TruncPoly.from_json(coeffs, order)))
+        return PolyMat.from_entries(dim, order, triples)
 
 
-def invert_rational(m: SparseMat) -> SparseMat:
-    """Exact inverse of a rational square matrix via echelon reduction."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices can be inverted")
-    n = m.rows
-    from .linalg import rref, ONE as R1
-    rows = m.row_vectors()
-    aug = []
-    for i in range(n):
-        r = dict(rows[i])
-        r[n + i] = R1
-        aug.append(r)
-    red, piv = rref(aug)
-    if piv[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    entries = {}
-    for i, row in enumerate(red):
-        for c, v in row.items():
-            if c >= n:
-                entries[(i, c - n)] = v
-    return SparseMat(n, n, entries)
+def _convolve(xs, ys, product, empty: SparseMat) -> list[SparseMat]:
+    """Truncated convolution: part k is the sum of product(xs[i], ys[j])
+    over i + j = k, for k < len(ys)."""
+    out = []
+    for k in range(len(ys)):
+        acc = empty
+        for i in range(k + 1):
+            p = product(xs[i], ys[k - i])
+            if p.entries:
+                acc = acc.add(p) if acc.entries else p
+        out.append(acc)
+    return out

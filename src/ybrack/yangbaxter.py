@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cohomology import DEFAULT_ENTRY_LIMIT
-from .linalg import SizeOverflow, power_exceeds
+from .linalg import ONE, SizeOverflow, SparseMat, power_exceeds
 from .racks import Rack, validate_rack
 from .truncpoly import PolyMat, TruncPoly
 
@@ -78,42 +78,30 @@ class YBOperator:
     def dim(self) -> int:
         return self.mat.dim
 
-    def lift(self, order: int) -> "YBOperator":
-        return YBOperator(self.rack_size, self.mat.lift(order))
-
-    def compose(self, other: "YBOperator") -> "YBOperator":
-        return YBOperator(self.rack_size, self.mat.compose(other.mat))
-
-    def inverse(self) -> "YBOperator":
-        return YBOperator(self.rack_size, self.mat.inverse())
-
     def __eq__(self, other):
         if not isinstance(other, YBOperator):
             return NotImplemented
         return self.rack_size == other.rack_size and self.mat == other.mat
 
 
+def _slot_permutation(n: int, image, trunc: int) -> YBOperator:
+    """Operator sending basis vector x tensor y to basis vector image(x, y)."""
+    perm = SparseMat(n * n, n * n, {(image(x, y), n * x + y): ONE
+                                    for x in range(n) for y in range(n)})
+    return YBOperator(n, PolyMat.from_rational(perm, trunc))
+
+
 def build_cq(rack: Rack, trunc: int = 1) -> YBOperator:
     """Permutation operator x tensor y -> y tensor (x*y)."""
     n = rack.size
-    one = TruncPoly.one(trunc)
-    mat = PolyMat(n * n, trunc)
-    for x in range(n):
-        for y in range(n):
-            mat.columns[n * x + y][n * y + rack.op(x, y)] = one
-    return YBOperator(n, mat)
+    return _slot_permutation(n, lambda x, y: n * y + rack.op(x, y), trunc)
 
 
 def build_tau(n: int, trunc: int = 1) -> YBOperator:
     """The transposition x tensor y -> y tensor x."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    one = TruncPoly.one(trunc)
-    mat = PolyMat(n * n, trunc)
-    for x in range(n):
-        for y in range(n):
-            mat.columns[n * x + y][n * y + x] = one
-    return YBOperator(n, mat)
+    return _slot_permutation(n, lambda x, y: n * y + x, trunc)
 
 
 def build_jones(q, trunc: int = 1) -> YBOperator:
@@ -140,11 +128,11 @@ def _scales(mat: PolyMat) -> tuple[int, int]:
     denominators of the constant term, D that of the denominators of the
     higher h-coefficients of d0 * mat."""
     d0 = 1
-    for _, _, v in mat.entries():
-        d0 = lcm(d0, v.coeffs[0].denominator)
+    for a in mat.constant.entries.values():
+        d0 = lcm(d0, a.denominator)
     big = 1
-    for _, _, v in mat.entries():
-        for a in v.coeffs[1:]:
+    for k in range(1, mat.order):
+        for a in mat.coefficient_matrix(k).entries.values():
             big = lcm(big, a.denominator // gcd(a.denominator, d0))
     return d0, big
 
@@ -154,13 +142,11 @@ def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]
     the h^k coefficient of mat, so that mat = (1/d0) sum_k u^k C_k for
     u = h/big.  form[k][col] lists the (row, C_k[row, col]) nonzeros;
     big must be a multiple of the D of _scales."""
-    scale = [d0 * big ** k for k in range(mat.order)]
     form = [[[] for _ in range(mat.dim)] for _ in range(mat.order)]
-    for r, c, v in mat.entries():
-        for k, a in enumerate(v.coeffs):
-            if a:
-                form[k][c].append(
-                    (r, a.numerator * (scale[k] // a.denominator)))
+    for k, cols in enumerate(form):
+        scale = d0 * big ** k
+        for (r, c), a in mat.coefficient_matrix(k).entries.items():
+            cols[c].append((r, a.numerator * (scale // a.denominator)))
     return form
 
 
@@ -254,20 +240,19 @@ def braid_rep(op: YBOperator, word: BraidWord) -> PolyMat:
     for letter in word.letters:
         d *= scales[letter < 0][0]
     dens = [d * big ** j for j in range(order)]
-    # entries repeat across columns: build each TruncPoly once
-    polys: dict[tuple[int, ...], TruncPoly] = {}
-    result = PolyMat(dim, order)
+    # entries repeat across columns: build each Fraction once
+    fracs: dict[tuple[int, int], Fraction] = {}
+    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
     for j in range(dim):
         vec = _apply_word(forms, n, k, word.letters, _basis_vector(j, order))
-        col = result.columns[j]
-        for i in sorted(set().union(*vec)):
-            key = tuple(part.get(i, 0) for part in vec)
-            poly = polys.get(key)
-            if poly is None:
-                poly = polys[key] = TruncPoly(order, tuple(
-                    Fraction(a, den) for a, den in zip(key, dens)))
-            col[i] = poly
-    return result
+        for deg, (part, den) in enumerate(zip(vec, dens)):
+            dst = parts[deg]
+            for i, a in part.items():
+                f = fracs.get((a, deg))
+                if f is None:
+                    f = fracs[(a, deg)] = Fraction(a, den)
+                dst[(i, j)] = f
+    return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
 
 
 def trace_power(op: YBOperator, k: int) -> TruncPoly:
@@ -280,14 +265,18 @@ def trace_power(op: YBOperator, k: int) -> TruncPoly:
 def rack_from_operator(op: YBOperator) -> Rack:
     """Decode a rack-permutation operator back into its table."""
     n = op.rack_size
+    cols = op.mat.constant.col_vectors()
+    # columns with a nonzero h-coefficient are no basis permutation
+    bumped = {c for k in range(1, op.trunc)
+              for _, c in op.mat.coefficient_matrix(k).entries}
     table = [[None] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            col = op.mat.columns[n * x + y]
-            if len(col) != 1:
+            col = cols[n * x + y]
+            if len(col) != 1 or n * x + y in bumped:
                 raise ValueError("operator is not a basis permutation")
             (row, val), = col.items()
-            if val != TruncPoly.one(op.trunc):
+            if val != 1:
                 raise ValueError("operator is not a basis permutation")
             y2, xy = divmod(row, n)
             if y2 != y:

@@ -219,3 +219,41 @@ def test_entropic_basis_rejects_nonpositive_degree(degree, capsys):
                          "--degree", degree)
     assert code == 2 and out == ""
     assert ">= 1" in err
+
+
+def _operator_json(**change):
+    """A valid trunc-2 operator on dihedral:3's tensor square, as written
+    by deform, with the given keys of its matrix replaced."""
+    mat = {"dim": 9, "trunc": 2,
+           "entries": [[j, j, ["1", "1/2"]] for j in range(9)]}
+    mat.update(change)
+    return {"matrix": mat}
+
+
+@pytest.mark.parametrize("data", [
+    _operator_json(entries=[[0, 9, ["1"]]]),
+    _operator_json(entries=[[-1, 0, ["1"]]]),
+    {"matrix": {"dim": 9, "trunc": 2}},
+    _operator_json(trunc=0),
+    [_operator_json()["matrix"]],
+    _operator_json(entries=[[0, 0, ["1", "0", "1"]]]),
+    _operator_json(entries=[[0, 0, ["1/0"]]]),
+], ids=["col-out-of-range", "negative-row", "no-entries", "trunc-0",
+        "top-level-list", "coefficients-over-trunc", "zero-denominator"])
+def test_malformed_operator_json_is_input_error(data, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "normalize", "--rack", "dihedral:3",
+                         "--input", str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lam", ["5", "[[1, 2, 3, 4, 5]]", '["1/0"]'],
+                         ids=["not-an-array", "coefficients-over-trunc",
+                              "zero-denominator"])
+def test_malformed_lambda_is_input_error(lam, capsys):
+    code, out, err = run(capsys, "deform", "--rack", "dihedral:3",
+                         "--lambda", lam)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1

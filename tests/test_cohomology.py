@@ -63,31 +63,31 @@ def operator_route_partial(rack, f, i):
     d = f.degree
     k = d + 1
     dim = n ** k
-    cq = build_cq(rack)
+    cq_cols = {}
+    for row, col, val in build_cq(rack).mat.entries():
+        cq_cols.setdefault(col, []).append((row, val))
 
     def c_at(pos):
-        m = PolyMat(dim, 1)
         base = n ** (k - 1 - pos)
+        entries = []
         for e in range(dim):
             lo, pair, hi = e % base, (e // base) % (n * n), e // (base * n * n)
-            for row, val in cq.mat.columns[pair].items():
-                m.columns[e][(hi * n * n + row) * base + lo] = val
-        return m
+            for row, val in cq_cols.get(pair, ()):
+                entries.append(((hi * n * n + row) * base + lo, e, val))
+        return PolyMat.from_entries(dim, 1, entries)
 
     def f_first():
-        m = PolyMat(dim, 1)
-        for (yc, xc), v in f.entries.items():
-            for z in range(n):
-                m.columns[xc * n + z][yc * n + z] = TruncPoly.const(v, 1)
-        return m
+        return PolyMat.from_entries(
+            dim, 1, [(yc * n + z, xc * n + z, TruncPoly.const(v, 1))
+                     for (yc, xc), v in f.entries.items()
+                     for z in range(n)])
 
     def f_last():
-        m = PolyMat(dim, 1)
         dd = n ** d
-        for (yc, xc), v in f.entries.items():
-            for x in range(n):
-                m.columns[x * dd + xc][x * dd + yc] = TruncPoly.const(v, 1)
-        return m
+        return PolyMat.from_entries(
+            dim, 1, [(x * dd + yc, x * dd + xc, TruncPoly.const(v, 1))
+                     for (yc, xc), v in f.entries.items()
+                     for x in range(n)])
 
     def prod(positions):
         m = PolyMat.identity(dim, 1)
@@ -110,9 +110,10 @@ def test_coboundary_i_matches_operator_route(rack):
         for i in range(degree + 1):
             mine = coboundary_i(rack, f, i)
             want = operator_route_partial(rack, f, i)
-            got = PolyMat(rack.size ** (degree + 1), 1)
-            for (yc, xc), v in mine.entries.items():
-                got.columns[xc][yc] = TruncPoly.const(v, 1)
+            got = PolyMat.from_entries(
+                rack.size ** (degree + 1), 1,
+                [(yc, xc, TruncPoly.const(v, 1))
+                 for (yc, xc), v in mine.entries.items()])
             assert got == want
 
 

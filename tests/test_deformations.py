@@ -196,8 +196,9 @@ def test_rmatrix_identity_map():
 
 def test_rmatrix_requires_entropic():
     rack = dihedral_rack(3)
-    f = PolyMat.identity(9, 1)
-    f.columns[1][3] = TruncPoly.one(1)  # breaks quasi-diagonality
+    # the unit at row 3, column 1 breaks quasi-diagonality
+    f = PolyMat.from_entries(9, 1, [(i, i, 1) for i in range(9)]
+                             + [(3, 1, TruncPoly.one(1))])
     with pytest.raises(NotEntropicError):
         rmatrix_equivalence(rack, f)
 
@@ -232,10 +233,11 @@ def test_rmatrix_tau_route_equals_cq_route_on_trivial_rack():
     # is forced equal; exercise a failing pair as well
     rng = random.Random(27)
     rack = trivial_rack(3)
-    f = PolyMat.identity(9, 1)
+    cells = [(i, i, 1) for i in range(9)]
     for _ in range(6):
         r, c = rng.randrange(9), rng.randrange(9)
-        f.columns[c][r] = TruncPoly.const(rand_frac(rng, 1, 3, 2), 1)
+        cells.append((r, c, TruncPoly.const(rand_frac(rng, 1, 3, 2), 1)))
+    f = PolyMat.from_entries(9, 1, cells)
     from ybrack import linalg
     if linalg.rank(f.constant) == 9:
         rep = rmatrix_equivalence(rack, f)

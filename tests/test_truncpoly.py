@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ybrack.linalg import SparseMat
-from ybrack.truncpoly import PolyMat, TruncPoly, invert_rational
+from ybrack.linalg import SparseMat, invert_rational
+from ybrack.truncpoly import PolyMat, TruncPoly
 
 F = Fraction
 
@@ -69,17 +69,15 @@ def test_json_round_trip():
 
 def _rand_polymat(n, order, rng, unit_constant=True):
     m = PolyMat.identity(n, order) if unit_constant else PolyMat(n, order)
+    cells = {(r, c): v for r, c, v in m.entries()}
     for k in range(0 if not unit_constant else 1, order):
         for _ in range(2 * n):
             r, c = rng.randrange(n), rng.randrange(n)
-            cur = m.columns[c].get(r, TruncPoly.zero(order))
-            v = cur + TruncPoly.h_power(k, order,
-                                        F(rng.randint(-3, 3), rng.randint(1, 3)))
-            if v.is_zero():
-                m.columns[c].pop(r, None)
-            else:
-                m.columns[c][r] = v
-    return m
+            cur = cells.get((r, c), TruncPoly.zero(order))
+            cells[(r, c)] = cur + TruncPoly.h_power(
+                k, order, F(rng.randint(-3, 3), rng.randint(1, 3)))
+    return PolyMat.from_entries(n, order, ((r, c, v)
+                                           for (r, c), v in cells.items()))
 
 
 def test_polymat_inverse_round_trip():

@@ -181,8 +181,8 @@ TRUNCATED_CASES = [
 
 def test_check_ybe_failure_witness_against_dense_oracle():
     # identity plus a unit in the corner over n = 2: not a braiding
-    mat = PolyMat.identity(4, 1)
-    mat.columns[3][0] = TruncPoly.one(1)
+    mat = PolyMat.from_entries(4, 1, [(i, i, 1) for i in range(4)]
+                               + [(0, 3, TruncPoly.one(1))])
     broken = YBOperator(2, mat)
     verdict = check_ybe(broken)
     assert not verdict.ok
