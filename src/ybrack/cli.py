@@ -17,7 +17,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, linalg, reference
@@ -30,7 +29,7 @@ from .deformations import (DecompositionError, DeformationFamily,
 from .racks import (ClosureCapExceeded, Rack, RackError, RackSpecError,
                     behavioral_classes, inner_group, rack_from_json,
                     rack_from_name, square_reflection_quandle)
-from .truncpoly import PolyMat, TruncPoly
+from .truncpoly import PolyMat, TruncPoly, check_order
 from .yangbaxter import (BraidWord, YBOperator, build_cq, build_jones,
                          build_tau, check_ybe, braid_rep)
 
@@ -39,22 +38,6 @@ OK, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 
 class InputError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run-wide limits and output settings; all limits must be positive."""
-
-    size_limit: int = 8
-    inner_group_cap: int = 10 ** 6
-    truncation: int = 3
-    output_format: str = "human"
-
-    def __post_init__(self):
-        if min(self.size_limit, self.inner_group_cap, self.truncation) < 1:
-            raise InputError("limits must be positive")
-        if self.output_format not in ("human", "json"):
-            raise InputError(f"unknown format {self.output_format!r}")
 
 
 def rack_hash(rack: Rack) -> str:
@@ -197,8 +180,10 @@ def _parse_lambda(text: str, trunc: int) -> list[TruncPoly]:
 
 def cmd_deform(args) -> int:
     rack = load_rack(args.rack)
+    trunc = 3 if args.trunc is None else args.trunc
+    check_order(rack.size ** 2, trunc)
     basis = entropic_basis(rack, 2)
-    values = _parse_lambda(args.lam, args.config.truncation)
+    values = _parse_lambda(args.lam, trunc)
     if len(values) != basis.dim:
         raise InputError(
             f"rack has {basis.dim} entropic orbits, "
@@ -243,7 +228,12 @@ def cmd_normalize(args) -> int:
         raise InputError(f"operator is over Q[h]/(h^{mat.order}), "
                          f"not --trunc {args.trunc}")
     op = YBOperator(rack.size, mat)
-    alpha, result = normalize_to_entropic(op, rack)
+    verdict = check_ybe(op)
+    if not verdict.ok:
+        print(f"input fails the Yang-Baxter equation at triple "
+              f"{verdict.witness}", file=sys.stderr)
+        return MATH_FAIL
+    alpha, result = normalize_to_entropic(op, rack, check_input=False)
     payload = {**provenance(rack),
                "alpha": alpha.mat.to_json(),
                "operator": result.mat.to_json()}
@@ -399,12 +389,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config = Config(size_limit=args.size_limit,
-                             inner_group_cap=args.inner_cap,
-                             truncation=(Config.truncation
-                                         if args.trunc is None
-                                         else args.trunc),
-                             output_format=args.format)
+        if min(args.size_limit, args.inner_cap,
+               1 if args.trunc is None else args.trunc) < 1:
+            raise InputError("limits must be positive")
         return args.func(args)
     except (InputError, RackSpecError, RackError, ClosureCapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import SparseMat, Subspace, SizeOverflow, Vec, ZERO, ONE
+from .linalg import (DEFAULT_ENTRY_LIMIT, SparseMat, Subspace, SizeOverflow,
+                     Vec, ZERO)
 from .racks import Perm, Rack, class_ids, inner_group
-
-DEFAULT_ENTRY_LIMIT = 10 ** 7
 
 
 def encode(tup, n: int) -> int:
@@ -50,17 +49,19 @@ def decode(code: int, degree: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """Sparse degree-d cochain; entries[(encode(y), encode(x))] = f<x -> y>."""
+class Cochain(SparseMat):
+    """Degree-d cochain: an n^d x n^d SparseMat tagged with its rack size
+    and degree; entries[(encode(y), encode(x))] = f<x -> y>.  Arithmetic,
+    equality and hashing are SparseMat's."""
 
-    rack_size: int
-    degree: int
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    def __init__(self, rack_size: int, degree: int, entries=None):
+        dim = rack_size ** degree
+        super().__init__(dim, dim, {} if entries is None else entries)
+        object.__setattr__(self, "rack_size", rack_size)
+        object.__setattr__(self, "degree", degree)
 
-    @staticmethod
-    def zero(n: int, degree: int) -> "Cochain":
-        return Cochain(n, degree, {})
+    def _like(self, entries) -> "Cochain":
+        return Cochain(self.rack_size, self.degree, entries)
 
     @staticmethod
     def from_pairs(n: int, degree: int, pairs) -> "Cochain":
@@ -72,42 +73,14 @@ class Cochain:
                 entries[(encode(y, n), encode(x, n))] = v
         return Cochain(n, degree, entries)
 
-    @staticmethod
-    def identity(n: int, degree: int) -> "Cochain":
-        dim = n ** degree
-        return Cochain(n, degree, {(i, i): ONE for i in range(dim)})
-
-    def get(self, x: tuple, y: tuple) -> Fraction:
+    def value(self, x: tuple, y: tuple) -> Fraction:
+        """f<x -> y>."""
         n = self.rack_size
-        return self.entries.get((encode(y, n), encode(x, n)), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scaled(self, s) -> "Cochain":
-        s = Fraction(s)
-        if not s:
-            return Cochain.zero(self.rack_size, self.degree)
-        return Cochain(self.rack_size, self.degree,
-                       {k: s * v for k, v in self.entries.items()})
-
-    def add(self, other: "Cochain") -> "Cochain":
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k, ZERO) + v
-            if s:
-                entries[k] = s
-            else:
-                entries.pop(k, None)
-        return Cochain(self.rack_size, self.degree, entries)
-
-    def sub(self, other: "Cochain") -> "Cochain":
-        return self.add(other.scaled(-1))
+        return self.get(encode(y, n), encode(x, n))
 
     def to_vector(self) -> Vec:
         """Flatten to a vector of length n^(2d), index encode(x)*n^d + encode(y)."""
-        dim = self.rack_size ** self.degree
-        return {xc * dim + yc: v for (yc, xc), v in self.entries.items()}
+        return {xc * self.cols + yc: v for (yc, xc), v in self.entries.items()}
 
     @staticmethod
     def from_vector(n: int, degree: int, vec: Vec) -> "Cochain":
@@ -118,20 +91,6 @@ class Cochain:
                 xc, yc = divmod(idx, dim)
                 entries[(yc, xc)] = v
         return Cochain(n, degree, entries)
-
-    def to_sparse_mat(self) -> SparseMat:
-        dim = self.rack_size ** self.degree
-        return SparseMat(dim, dim, dict(self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (self.rack_size, self.degree) == (other.rack_size, other.degree) \
-            and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.rack_size, self.degree,
-                     frozenset(self.entries.items())))
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,59 +105,87 @@ def _word_perm(rack: Rack, word: tuple[int, ...]) -> Perm:
 def _entry_terms(rack: Rack, i: int, u: tuple, v: tuple):
     """Where the (u -> v) entry of a degree-d cochain lands under d_i.
 
-    Yields ((x_tuple, y_tuple), sign) over the 2n output positions.
+    Yields (encode(x), encode(y), sign) over the 2n output positions
+    (x_tuple, y_tuple); the codes are assembled from the codes of the
+    unchanged head and tail slots.
     """
     n = rack.size
-    head_u, tail_u = u[:i], u[i:]
-    head_v, tail_v = v[:i], v[i:]
-    wu = _word_perm(rack, tail_u)
-    wv_inv = _word_perm(rack, tail_v).inverse()
+    scale = n ** (len(u) - i)
+    tail_x, tail_y = encode(u[i:], n), encode(v[i:], n)
+    head_x, head_y = encode(u[:i], n) * n, encode(v[:i], n) * n
+    wu = _word_perm(rack, u[i:])
+    wv_inv = _word_perm(rack, v[i:]).inverse()
     for a in range(n):
-        b = wv_inv(wu(a))
-        yield (head_u + (a,) + tail_u, head_v + (b,) + tail_v), 1
+        yield ((head_x + a) * scale + tail_x,
+               (head_y + wv_inv(wu(a))) * scale + tail_y, 1)
     for a in range(n):
         abar = rack.rho_inv(a)
-        x = tuple(abar(t) for t in head_u) + (a,) + tail_u
-        y = tuple(abar(t) for t in head_v) + (a,) + tail_v
-        yield (x, y), -1
+        yield ((encode(map(abar, u[:i]), n) * n + a) * scale + tail_x,
+               (encode(map(abar, v[:i]), n) * n + a) * scale + tail_y, -1)
+
+
+def _coboundary_sum(rack: Rack, degree: int, partials, cells) -> dict:
+    """Sum of sign * d_i over the (i, sign) in partials, applied to each
+    cell (u, v, col, value) of degree-d indicators, value times (u -> v).
+
+    Returns {(row, col): total} with row = encode(x) * n^(d+1) + encode(y),
+    the index of Cochain.to_vector; totals may be zero.
+    """
+    dim_out = rack.size ** (degree + 1)
+    out: dict = {}
+    for u, v, col, val in cells:
+        for i, sign in partials:
+            pos = val if sign > 0 else -val
+            neg = -pos
+            for xc, yc, s in _entry_terms(rack, i, u, v):
+                key = (xc * dim_out + yc, col)
+                out[key] = out.get(key, 0) + (pos if s > 0 else neg)
+    return out
+
+
+def _cochain_sum(rack: Rack, f: Cochain, partials) -> Cochain:
+    """The signed sum of partials applied to f."""
+    n, d = rack.size, f.degree
+    sums = _coboundary_sum(rack, d, partials, (
+        (decode(xc, d, n), decode(yc, d, n), 0, val)
+        for (yc, xc), val in f.entries.items()))
+    return Cochain.from_vector(n, d + 1,
+                               {row: t for (row, _), t in sums.items()})
 
 
 def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
     """The i-th partial coboundary of f, a cochain of degree d+1."""
-    d = f.degree
-    if not 0 <= i <= d:
-        raise IndexError(f"partial index {i} out of range 0..{d}")
-    n = rack.size
-    out: dict[tuple[int, int], Fraction] = {}
-    for (yc, xc), val in f.entries.items():
-        u = decode(xc, d, n)
-        v = decode(yc, d, n)
-        for (x, y), sign in _entry_terms(rack, i, u, v):
-            key = (encode(y, n), encode(x, n))
-            s = out.get(key, ZERO) + sign * val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return Cochain(n, d + 1, out)
+    if not 0 <= i <= f.degree:
+        raise IndexError(f"partial index {i} out of range 0..{f.degree}")
+    return _cochain_sum(rack, f, [(i, 1)])
 
 
 def coboundary(rack: Rack, f: Cochain) -> Cochain:
     """Alternating sum of the partial coboundaries."""
-    out = Cochain.zero(rack.size, f.degree + 1)
-    for i in range(f.degree + 1):
-        term = coboundary_i(rack, f, i)
-        out = out.add(term if i % 2 == 0 else term.scaled(-1))
-    return out
+    return _cochain_sum(rack, f, [(i, (-1) ** i) for i in range(f.degree + 1)])
 
 
-def _check_matrix_size(rack: Rack, degree: int, entry_limit: int):
+def _matrix_sum(rack: Rack, degree: int, partials,
+                entry_limit: int) -> SparseMat:
+    """Matrix of the signed sum of partials on indicator cochains.
+
+    Entries are summed as ints and stored as one Fraction per distinct
+    value, since elimination divides them.
+    """
+    n = rack.size
     if degree not in (1, 2, 3):
         raise ValueError("coboundary matrices support degrees 1..3")
-    if rack.size ** (2 * (degree + 1)) > entry_limit:
+    if n ** (2 * (degree + 1)) > entry_limit:
         raise SizeOverflow(
-            f"degree-{degree} coboundary matrix for size {rack.size} "
+            f"degree-{degree} coboundary matrix for size {n} "
             f"exceeds the entry limit {entry_limit}")
+    sums = _coboundary_sum(rack, degree, partials, (
+        (uv[:degree], uv[degree:], col, 1)
+        for col, uv in enumerate(
+            itertools.product(range(n), repeat=2 * degree))))
+    fracs = {t: Fraction(t) for t in set(sums.values()) if t}
+    return SparseMat(n ** (2 * degree + 2), n ** (2 * degree),
+                     {key: fracs[t] for key, t in sums.items() if t})
 
 
 def partial_coboundary_matrix(rack: Rack, degree: int, i: int,
@@ -207,36 +194,15 @@ def partial_coboundary_matrix(rack: Rack, degree: int, i: int,
 
     Shape n^(2(d+1)) x n^(2d); column indices follow Cochain.to_vector.
     """
-    _check_matrix_size(rack, degree, entry_limit)
-    n = rack.size
-    dim_in = n ** degree
-    dim_out = n ** (degree + 1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for u in itertools.product(range(n), repeat=degree):
-        for v in itertools.product(range(n), repeat=degree):
-            col = encode(u, n) * dim_in + encode(v, n)
-            for (x, y), sign in _entry_terms(rack, i, u, v):
-                row = encode(x, n) * dim_out + encode(y, n)
-                key = (row, col)
-                s = entries.get(key, ZERO) + sign
-                if s:
-                    entries[key] = s
-                else:
-                    entries.pop(key, None)
-    return SparseMat(dim_out ** 2, dim_in ** 2, entries)
+    return _matrix_sum(rack, degree, [(i, 1)], entry_limit)
 
 
 def coboundary_matrix(rack: Rack, degree: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> SparseMat:
     """Matrix of the full coboundary in the indicator basis."""
-    _check_matrix_size(rack, degree, entry_limit)
-    out = None
-    for i in range(degree + 1):
-        m = partial_coboundary_matrix(rack, degree, i, entry_limit)
-        if i % 2:
-            m = m.scaled(-1)
-        out = m if out is None else out.add(m)
-    return out
+    return _matrix_sum(rack, degree,
+                       [(i, (-1) ** i) for i in range(degree + 1)],
+                       entry_limit)
 
 
 def cocycle_space(rack: Rack, degree: int,

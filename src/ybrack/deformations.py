@@ -161,7 +161,7 @@ def poly_mat_is_entropic(rack: Rack, f: PolyMat) -> bool:
     """A matrix over Q[h]/(h^N) is entropic iff each h-coefficient is."""
     return all(
         is_entropic(rack, Cochain(rack.size, 2,
-                                  dict(f.coefficient_matrix(k).entries)))
+                                  f.coefficient_matrix(k).entries))
         for k in range(f.order))
 
 
@@ -221,10 +221,9 @@ class Equivalence:
                           tt.inverse().compose(op.mat).compose(tt))
 
 
-def _deformation_term(op: YBOperator, cq: YBOperator) -> PolyMat:
-    """f with op = c_Q (II + f)."""
-    return cq.mat.inverse().compose(op.mat) \
-        .sub(PolyMat.identity(op.dim, op.trunc))
+def _deformation_term(op: YBOperator, cq_inv: PolyMat) -> PolyMat:
+    """f with op = c_Q (II + f), given c_Q^{-1}."""
+    return cq_inv.compose(op.mat).sub(PolyMat.identity(op.dim, op.trunc))
 
 
 def normalize_to_entropic(op: YBOperator, rack: Rack,
@@ -266,11 +265,14 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
         entries[(i, len(ind_vectors) + j)] = v
     system = SparseMat(n ** 4, ncols, entries)
 
+    cq_inv = cq.mat.inverse()
     alpha = PolyMat.identity(n, order)
     current = op
+    # the term of the current operator; after degree k's conjugation it
+    # serves both that degree's residual check and degree k+1
+    f = _deformation_term(current, cq_inv)
     for k in range(1, order):
-        f = _deformation_term(current, cq)
-        e_k = Cochain(n, 2, dict(f.coefficient_matrix(k).entries))
+        e_k = Cochain(n, 2, f.coefficient_matrix(k).entries)
         if is_entropic(rack, e_k):
             continue
         solution = linalg.solve(system, e_k.to_vector())
@@ -281,15 +283,14 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
         for idx, v in solution.items():
             if idx >= len(ind_vectors):
                 g_vec[idx - len(ind_vectors)] = v
-        g = Cochain.from_vector(n, 1, g_vec).to_sparse_mat()
+        g = Cochain.from_vector(n, 1, g_vec)
         step = PolyMat.identity(n, order).add(
             PolyMat.from_rational(g, order, h_degree=k))
         tt = step.tensor(step)
         current = YBOperator(n, tt.inverse().compose(current.mat).compose(tt))
         alpha = alpha.compose(step)
-        residual = Cochain(
-            n, 2,
-            dict(_deformation_term(current, cq).coefficient_matrix(k).entries))
+        f = _deformation_term(current, cq_inv)
+        residual = Cochain(n, 2, f.coefficient_matrix(k).entries)
         if not is_entropic(rack, residual):
             raise DecompositionError(
                 f"degree-{k} residual failed to become entropic")

@@ -43,6 +43,9 @@ class SizeOverflow(RuntimeError):
     """A requested matrix would exceed the configured size limit."""
 
 
+DEFAULT_ENTRY_LIMIT = 10 ** 7
+
+
 def power_exceeds(base: int, exp: int, limit: int) -> bool:
     """base ** exp > limit for base >= 1, without forming a huge power:
     2 ** limit.bit_length() already exceeds the limit."""
@@ -159,12 +162,15 @@ class SparseMat:
             return self.matmul(other)
         return NotImplemented
 
+    def _like(self, entries) -> "SparseMat":
+        """A matrix of this shape and class holding entries; subclasses
+        that carry more than the shape override it."""
+        return SparseMat(self.rows, self.cols, entries)
+
     def scaled(self, s) -> "SparseMat":
         s = Fraction(s)
-        if not s:
-            return SparseMat(self.rows, self.cols, {})
-        return SparseMat(self.rows, self.cols,
-                         {k: s * v for k, v in self.entries.items()})
+        return self._like({k: s * v for k, v in self.entries.items()}
+                          if s else {})
 
     def add(self, other: "SparseMat") -> "SparseMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -176,7 +182,7 @@ class SparseMat:
                 entries[k] = s
             else:
                 entries.pop(k, None)
-        return SparseMat(self.rows, self.cols, entries)
+        return self._like(entries)
 
     def sub(self, other: "SparseMat") -> "SparseMat":
         return self.add(other.scaled(-1))

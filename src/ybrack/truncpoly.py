@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseMat, DimensionMismatch, invert_rational
+from .linalg import (DEFAULT_ENTRY_LIMIT, DimensionMismatch, SizeOverflow,
+                     SparseMat, invert_rational)
 
 ZERO = Fraction(0)
 
@@ -341,6 +342,7 @@ class PolyMat:
             raise ValueError(f"matrix dim must be an integer >= 0, not {dim!r}")
         if type(order) is not int or order < 1:
             raise ValueError(f"trunc must be an integer >= 1, not {order!r}")
+        check_order(dim, order)
         if not isinstance(entries, list):
             raise ValueError("matrix entries must be a JSON array")
         triples = []
@@ -353,6 +355,16 @@ class PolyMat:
             r, c, coeffs = item
             triples.append((r, c, TruncPoly.from_json(coeffs, order)))
         return PolyMat.from_entries(dim, order, triples)
+
+
+def check_order(dim: int, order: int) -> None:
+    """Raise SizeOverflow, before anything of that size is allocated, when
+    a dim x dim matrix over Q[h]/(h^order) has more than
+    DEFAULT_ENTRY_LIMIT coefficient slots."""
+    if dim * dim * order > DEFAULT_ENTRY_LIMIT:
+        raise SizeOverflow(
+            f"a {dim} x {dim} matrix over Q[h]/(h^{order}) exceeds the "
+            f"entry limit {DEFAULT_ENTRY_LIMIT}")
 
 
 def _convolve(xs, ys, product, empty: SparseMat) -> list[SparseMat]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cohomology import DEFAULT_ENTRY_LIMIT
-from .linalg import ONE, SizeOverflow, SparseMat, power_exceeds
+from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, SizeOverflow, SparseMat,
+                     power_exceeds)
 from .racks import Rack, validate_rack
 from .truncpoly import PolyMat, TruncPoly
 

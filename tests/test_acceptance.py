@@ -160,7 +160,7 @@ def test_criterion_10_infinitesimal_correspondence():
         samples += [rand_cocycle(rack, rng, z2) for _ in range(10)]
         for f in samples:
             pert = PolyMat.identity(n * n, 2).add(
-                PolyMat.from_rational(f.to_sparse_mat(), 2, h_degree=1))
+                PolyMat.from_rational(f, 2, h_degree=1))
             passes = check_ybe(YBOperator(n, cq.mat.compose(pert))).ok
             ok = ok and (passes == coboundary(rack, f).is_zero())
     record(10, "braid relation mod h^2 iff the term is a cocycle, "
@@ -192,7 +192,7 @@ def test_criterion_12_deformed_and_transposed_verdicts_agree():
         while done < 10:
             f = PolyMat(rack.size ** 2, 1)
             for c in basis.cochains():
-                f = f.add(PolyMat.from_rational(c.to_sparse_mat(), 1)
+                f = f.add(PolyMat.from_rational(c, 1)
                           .scaled(rand_frac(rng, -3, 3, 2)))
             if linalg.rank(f.constant) != rack.size ** 2:
                 continue

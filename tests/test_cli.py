@@ -151,10 +151,11 @@ def test_config_rejects_nonpositive_limits(capsys):
 
 
 def test_config_defaults():
-    from ybrack.cli import Config
-    cfg = Config()
-    assert (cfg.size_limit, cfg.inner_group_cap, cfg.truncation) \
-        == (8, 10 ** 6, 3)
+    from ybrack.cli import build_parser
+    parser = build_parser()
+    assert [parser.get_default(k)
+            for k in ("size_limit", "inner_cap", "trunc", "format")] \
+        == [8, 10 ** 6, None, "human"]
 
 
 def test_inner_cap_exceeded_is_input_error(capsys):
@@ -168,7 +169,7 @@ def test_decomposition_error_is_math_failure(tmp_path, capsys, monkeypatch):
     import ybrack.cli
     from ybrack.deformations import DecompositionError
 
-    def fail(op, rack):
+    def fail(op, rack, check_input=True):
         raise DecompositionError("degree-2 term is not entropic + coboundary")
 
     lam = json.dumps([["0", "1/2", "-1/3"]])
@@ -199,6 +200,21 @@ def test_normalize_keeps_the_operator_order(tmp_path, capsys):
         code, _, err = run(capsys, "--trunc", other, "normalize", "--rack",
                            "dihedral:3", "--input", str(op_path))
         assert code == 2 and "h^5" in err
+
+
+def test_normalize_input_failing_ybe_is_math_failure(tmp_path, capsys):
+    from ybrack.racks import dihedral_rack
+    from ybrack.truncpoly import PolyMat, TruncPoly
+    from ybrack.yangbaxter import build_cq
+    mat = build_cq(dihedral_rack(3), 2).mat.add(
+        PolyMat.from_entries(9, 2, [(0, 4, TruncPoly.h_power(1, 2))]))
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"matrix": mat.to_json()}))
+    code, out, err = run(capsys, "normalize", "--rack", "dihedral:3",
+                         "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == ("input fails the Yang-Baxter equation at triple "
+                   "(0, 0, 2)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,3 +273,24 @@ def test_malformed_lambda_is_input_error(lam, capsys):
                          "--lambda", lam)
     assert code == 2 and out == ""
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# 10^18 coefficient slots per entry: refused by the size guard; without
+# it, padding one coefficient array to that order fails at once
+HUGE_TRUNC = 10 ** 18
+
+
+def test_huge_operator_trunc_refused_before_allocating(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(_operator_json(trunc=HUGE_TRUNC)))
+    code, out, err = run(capsys, "normalize", "--rack", "dihedral:3",
+                         "--input", str(path))
+    assert code == 2 and out == ""
+    assert "entry limit" in err and err.count("\n") == 1
+
+
+def test_huge_deform_trunc_refused_before_allocating(capsys):
+    code, out, err = run(capsys, "--trunc", str(HUGE_TRUNC), "deform",
+                         "--rack", "dihedral:3", "--lambda", '["1"]')
+    assert code == 2 and out == ""
+    assert "entry limit" in err and err.count("\n") == 1

@@ -1,0 +1,91 @@
+"""Property tests: the cochain complex on generated racks.
+
+Alexander quandles x*y = t*x + (1-t)*y mod n (t a unit mod n) and
+permutation racks x*y = sigma(x) satisfy the rack axioms by
+construction, so they reach beyond the hand-picked corpus.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from test_cohomology import naive_partial_coboundary
+from ybrack.cohomology import (Cochain, coboundary, coboundary_i,
+                               coboundary_matrix, entropic_basis,
+                               is_entropic, partial_coboundary_matrix)
+from ybrack.racks import validate_rack
+
+PROPS = settings(max_examples=50)
+
+fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+degrees = st.sampled_from([1, 2])
+
+
+@st.composite
+def racks(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        t = draw(st.sampled_from([t for t in range(n) if gcd(t, n) == 1]))
+        table = [[(t * x + (1 - t) * y) % n for y in range(n)]
+                 for x in range(n)]
+    else:
+        sigma = draw(st.permutations(range(n)))
+        table = [[sigma[x]] * n for x in range(n)]
+    return validate_rack(table)
+
+
+@st.composite
+def cochains(draw, rack, degree):
+    dim = rack.size ** degree
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    entries = draw(st.dictionaries(cells, fractions, max_size=12))
+    return Cochain(rack.size, degree,
+                   {k: v for k, v in entries.items() if v})
+
+
+@st.composite
+def rack_cochains(draw):
+    rack = draw(racks())
+    return rack, draw(cochains(rack, draw(degrees)))
+
+
+@PROPS
+@given(rack_cochains())
+def test_coboundary_squared_is_zero(rf):
+    rack, f = rf
+    assert coboundary(rack, coboundary(rack, f)).is_zero()
+
+
+@PROPS
+@given(rack_cochains())
+def test_coboundary_matrix_applies_the_coboundary(rf):
+    rack, f = rf
+    m = coboundary_matrix(rack, f.degree)
+    assert m.apply(f.to_vector()) == coboundary(rack, f).to_vector()
+
+
+@PROPS
+@given(racks(), degrees)
+def test_coboundary_matrix_is_the_alternating_sum_of_partials(rack, degree):
+    parts = [partial_coboundary_matrix(rack, degree, i).scaled((-1) ** i)
+             for i in range(degree + 1)]
+    total = parts[0]
+    for p in parts[1:]:
+        total = total.add(p)
+    assert total == coboundary_matrix(rack, degree)
+
+
+@PROPS
+@given(rack_cochains())
+def test_coboundary_i_matches_naive_oracle(rf):
+    rack, f = rf
+    for i in range(f.degree + 1):
+        assert coboundary_i(rack, f, i) == naive_partial_coboundary(rack, f, i)
+
+
+@PROPS
+@given(racks(), degrees)
+def test_entropic_basis_cochains_are_entropic(rack, degree):
+    assert all(is_entropic(rack, c)
+               for c in entropic_basis(rack, degree).cochains())

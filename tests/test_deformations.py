@@ -143,7 +143,7 @@ def test_broken_pattern_fails():
     assert not is_entropic(rack, bad)
     broken = YBOperator(4, op.mat.add(
         PolyMat.from_rational(build_cq(rack).mat.constant.matmul(
-            bad.to_sparse_mat()), 1)))
+            bad), 1)))
     verdict = check_ybe(broken)
     assert not verdict.ok and verdict.witness is not None
 
@@ -219,7 +219,7 @@ def test_rmatrix_verdicts_agree_on_entropic_samples():
         while agreed < 6:
             f = PolyMat(rack.size ** 2, 1)
             for c in basis.cochains():
-                f = f.add(PolyMat.from_rational(c.to_sparse_mat(), 1)
+                f = f.add(PolyMat.from_rational(c, 1)
                           .scaled(rand_frac(rng, -3, 3, 2)))
             if linalg.rank(f.constant) != rack.size ** 2:
                 continue
@@ -268,7 +268,7 @@ def test_normalize_rejects_non_ybe_input():
     assert not coboundary(rack, bad).is_zero()
     mat = build_cq(rack, 2).mat
     op = YBOperator(3, mat.add(
-        PolyMat.from_rational(bad.to_sparse_mat(), 2, 1)))
+        PolyMat.from_rational(bad, 2, 1)))
     with pytest.raises(ValueError, match="Yang-Baxter"):
         normalize_to_entropic(op, rack)
 
@@ -320,11 +320,11 @@ def test_poly_mat_is_entropic():
     rack = square_reflection_quandle()
     basis = entropic_basis(rack, 2)
     good = PolyMat.identity(16, 2).add(
-        PolyMat.from_rational(basis.cochains()[0].to_sparse_mat(), 2, 1))
+        PolyMat.from_rational(basis.cochains()[0], 2, 1))
     assert poly_mat_is_entropic(rack, good)
     bad = Cochain.from_pairs(4, 2, [(((0, 0)), ((0, 2)), 1)])
     assert not poly_mat_is_entropic(
-        rack, good.add(PolyMat.from_rational(bad.to_sparse_mat(), 2, 1)))
+        rack, good.add(PolyMat.from_rational(bad, 2, 1)))
 
 
 def test_rescaling_is_a_normalization_fixed_point():

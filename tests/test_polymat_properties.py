@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ybrack.truncpoly import PolyMat, TruncPoly
 
-PROPS = settings(max_examples=40, deadline=None)
+PROPS = settings(max_examples=40)
 
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
