@@ -3,8 +3,8 @@ construction, cohomology, entropic deformations, and normalization."""
 
 __version__ = "0.1.0"
 
-from .linalg import (SparseMat, Subspace, contains, image_basis,
-                     kernel_basis, sum_and_intersection_dims)
+from .linalg import (SparseMat, Subspace, image_basis, kernel_basis,
+                     sum_and_intersection_dims)
 from .racks import (Perm, PermGroup, Rack, behavioral_classes,
                     conjugation_quandle, dihedral_rack, inner_group,
                     rack_from_name, square_reflection_quandle,

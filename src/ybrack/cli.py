@@ -117,11 +117,12 @@ def cmd_braid(args) -> int:
     word = BraidWord.parse(args.word, args.strands)
     mat = braid_rep(build_cq(rack), word)
     payload = {**provenance(rack), "strands": word.strands,
-               "letters": list(word.letters), "matrix": mat.to_json()}
-    nnz = sum(1 for _ in mat.entries())
+               "letters": list(word.letters)}
+    if args.format == "json":
+        payload["matrix"] = mat.to_json()
     emit(args, payload, [
         f"braid on {word.strands} strands, word {list(word.letters)}",
-        f"matrix of dimension {mat.dim} with {nnz} nonzero entries",
+        f"matrix of dimension {mat.dim} with {mat.nnz} nonzero entries",
     ])
     return OK
 
@@ -194,8 +195,9 @@ def cmd_deform(args) -> int:
     except NotInvertibleError as exc:
         print(f"deformation not invertible: {exc}", file=sys.stderr)
         return MATH_FAIL
-    payload = {**provenance(rack), "rack_size": op.rack_size,
-               "matrix": op.mat.to_json()}
+    payload = {**provenance(rack), "rack_size": op.rack_size}
+    if args.format == "json":
+        payload["matrix"] = op.mat.to_json()
     lines = [f"assembled deformation on dimension {op.dim} "
              f"over Q[h]/(h^{op.trunc})"]
     if args.check:
@@ -234,9 +236,10 @@ def cmd_normalize(args) -> int:
               f"{verdict.witness}", file=sys.stderr)
         return MATH_FAIL
     alpha, result = normalize_to_entropic(op, rack, check_input=False)
-    payload = {**provenance(rack),
-               "alpha": alpha.mat.to_json(),
-               "operator": result.mat.to_json()}
+    payload = provenance(rack)
+    if args.format == "json":
+        payload.update(alpha=alpha.mat.to_json(),
+                       operator=result.mat.to_json())
     emit(args, payload, [
         f"normalized over Q[h]/(h^{mat.order}); "
         f"alpha and entropic operator computed",

@@ -165,8 +165,7 @@ def coboundary(rack: Rack, f: Cochain) -> Cochain:
     return _cochain_sum(rack, f, [(i, (-1) ** i) for i in range(f.degree + 1)])
 
 
-def _matrix_sum(rack: Rack, degree: int, partials,
-                entry_limit: int) -> SparseMat:
+def _matrix_sum(rack: Rack, degree: int, partials) -> SparseMat:
     """Matrix of the signed sum of partials on indicator cochains.
 
     Entries are summed as ints and stored as one Fraction per distinct
@@ -175,10 +174,10 @@ def _matrix_sum(rack: Rack, degree: int, partials,
     n = rack.size
     if degree not in (1, 2, 3):
         raise ValueError("coboundary matrices support degrees 1..3")
-    if n ** (2 * (degree + 1)) > entry_limit:
+    if n ** (2 * (degree + 1)) > DEFAULT_ENTRY_LIMIT:
         raise SizeOverflow(
             f"degree-{degree} coboundary matrix for size {n} "
-            f"exceeds the entry limit {entry_limit}")
+            f"exceeds the entry limit {DEFAULT_ENTRY_LIMIT}")
     sums = _coboundary_sum(rack, degree, partials, (
         (uv[:degree], uv[degree:], col, 1)
         for col, uv in enumerate(
@@ -188,35 +187,30 @@ def _matrix_sum(rack: Rack, degree: int, partials,
                      {key: fracs[t] for key, t in sums.items() if t})
 
 
-def partial_coboundary_matrix(rack: Rack, degree: int, i: int,
-                              entry_limit: int = DEFAULT_ENTRY_LIMIT) -> SparseMat:
+def partial_coboundary_matrix(rack: Rack, degree: int, i: int) -> SparseMat:
     """Matrix of d_i on indicator cochains.
 
     Shape n^(2(d+1)) x n^(2d); column indices follow Cochain.to_vector.
     """
-    return _matrix_sum(rack, degree, [(i, 1)], entry_limit)
+    return _matrix_sum(rack, degree, [(i, 1)])
 
 
-def coboundary_matrix(rack: Rack, degree: int,
-                      entry_limit: int = DEFAULT_ENTRY_LIMIT) -> SparseMat:
+def coboundary_matrix(rack: Rack, degree: int) -> SparseMat:
     """Matrix of the full coboundary in the indicator basis."""
     return _matrix_sum(rack, degree,
-                       [(i, (-1) ** i) for i in range(degree + 1)],
-                       entry_limit)
+                       [(i, (-1) ** i) for i in range(degree + 1)])
 
 
-def cocycle_space(rack: Rack, degree: int,
-                  entry_limit: int = DEFAULT_ENTRY_LIMIT) -> Subspace:
+def cocycle_space(rack: Rack, degree: int) -> Subspace:
     """Z^d: kernel of the degree-d coboundary matrix."""
-    return linalg.kernel_basis(coboundary_matrix(rack, degree, entry_limit))
+    return linalg.kernel_basis(coboundary_matrix(rack, degree))
 
 
-def coboundary_space(rack: Rack, degree: int,
-                     entry_limit: int = DEFAULT_ENTRY_LIMIT) -> Subspace:
+def coboundary_space(rack: Rack, degree: int) -> Subspace:
     """B^d: image of the degree-(d-1) coboundary matrix; B^1 = 0."""
     if degree == 1:
         return Subspace.zero(rack.size ** 2)
-    return linalg.image_basis(coboundary_matrix(rack, degree - 1, entry_limit))
+    return linalg.image_basis(coboundary_matrix(rack, degree - 1))
 
 
 def is_entropic(rack: Rack, f: Cochain) -> bool:
@@ -363,8 +357,7 @@ class H2Report:
                 "verified": self.decomposition_verified}
 
 
-def classify_h2(rack: Rack, size_limit: int = 8,
-                entry_limit: int = DEFAULT_ENTRY_LIMIT) -> H2Report:
+def classify_h2(rack: Rack, size_limit: int = 8) -> H2Report:
     """Dimensions of Z^2, B^2, E^2 and the direct-sum verification.
 
     Over the rationals the cocycles always split as the entropic part
@@ -373,8 +366,8 @@ def classify_h2(rack: Rack, size_limit: int = 8,
     """
     if rack.size > size_limit:
         raise SizeOverflow(f"rack size {rack.size} exceeds limit {size_limit}")
-    z2 = cocycle_space(rack, 2, entry_limit)
-    b2 = coboundary_space(rack, 2, entry_limit)
+    z2 = cocycle_space(rack, 2)
+    b2 = coboundary_space(rack, 2)
     e2 = entropic_basis(rack, 2).subspace()
     dim_sum, dim_int = linalg.sum_and_intersection_dims(e2, b2)
     inside = all(z2.contains_vec(v) for v in e2.basis) \

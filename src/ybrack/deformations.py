@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import linalg, reference
 from .cohomology import (Cochain, EntropicBasis, coboundary_matrix,
                          entropic_basis, is_entropic)
-from .linalg import SparseMat, Vec
+from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
 from .truncpoly import PolyMat, TruncPoly
 from .yangbaxter import YBOperator, YbeVerdict, build_cq, build_tau, \
@@ -212,13 +212,12 @@ class Equivalence:
     def dim(self) -> int:
         return self.mat.dim
 
-    def tensor_square(self) -> PolyMat:
-        return self.mat.tensor(self.mat)
-
     def conjugate(self, op: YBOperator) -> YBOperator:
-        tt = self.tensor_square()
-        return YBOperator(op.rack_size,
-                          tt.inverse().compose(op.mat).compose(tt))
+        """(alpha^{-1} x alpha^{-1}) c (alpha x alpha), which equals
+        (alpha x alpha)^{-1} c (alpha x alpha): only alpha is inverted."""
+        inv = self.mat.inverse()
+        return YBOperator(op.rack_size, inv.tensor(inv).compose(op.mat)
+                          .compose(self.mat.tensor(self.mat)))
 
 
 def _deformation_term(op: YBOperator, cq_inv: PolyMat) -> PolyMat:
@@ -235,9 +234,11 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     split as entropic + coboundary by solving the echelonized linear
     system against the orbit indicators and the degree-1 coboundary
     matrix, and the coboundary part is removed by conjugating with
-    I + h^k g.  Lower degrees are never disturbed.  Returns (alpha, c')
-    with c' = (alpha x alpha)^{-1} op (alpha x alpha) and c_Q^{-1} c'
-    entropic in every h-degree.
+    I + h^k g.  A zero g means the degree is already entropic: the
+    independent indicator columns come first, so all are pivots, and
+    E^2 meets B^2 only in 0.  Lower degrees are never disturbed.
+    Returns (alpha, c') with c' = (alpha x alpha)^{-1} op (alpha x alpha)
+    and c_Q^{-1} c' entropic in every h-degree.
     """
     n = rack.size
     order = op.trunc
@@ -273,22 +274,19 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     f = _deformation_term(current, cq_inv)
     for k in range(1, order):
         e_k = Cochain(n, 2, f.coefficient_matrix(k).entries)
-        if is_entropic(rack, e_k):
-            continue
         solution = linalg.solve(system, e_k.to_vector())
         if solution is None:
             raise DecompositionError(
                 f"degree-{k} term is not entropic + coboundary")
-        g_vec: Vec = {}
-        for idx, v in solution.items():
-            if idx >= len(ind_vectors):
-                g_vec[idx - len(ind_vectors)] = v
-        g = Cochain.from_vector(n, 1, g_vec)
-        step = PolyMat.identity(n, order).add(
-            PolyMat.from_rational(g, order, h_degree=k))
-        tt = step.tensor(step)
-        current = YBOperator(n, tt.inverse().compose(current.mat).compose(tt))
-        alpha = alpha.compose(step)
+        g = Cochain.from_vector(n, 1, {
+            idx - len(ind_vectors): v for idx, v in solution.items()
+            if idx >= len(ind_vectors)})
+        if g.is_zero():
+            continue
+        step = Equivalence(PolyMat.identity(n, order).add(
+            PolyMat.from_rational(g, order, h_degree=k)))
+        current = step.conjugate(current)
+        alpha = alpha.compose(step.mat)
         f = _deformation_term(current, cq_inv)
         residual = Cochain(n, 2, f.coefficient_matrix(k).entries)
         if not is_entropic(rack, residual):

@@ -68,15 +68,6 @@ class SparseMat:
                 raise ValueError("stored zero entry")
 
     @staticmethod
-    def from_triples(rows, cols, triples) -> "SparseMat":
-        entries = {}
-        for r, c, v in triples:
-            v = Fraction(v)
-            if v:
-                entries[(r, c)] = v
-        return SparseMat(rows, cols, entries)
-
-    @staticmethod
     def from_dense(dense) -> "SparseMat":
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
@@ -293,6 +284,9 @@ class Subspace:
         return r
 
     def contains_vec(self, v: Vec) -> bool:
+        """True iff v lies in the span."""
+        if any(not (0 <= i < self.ambient_dim) for i in v):
+            raise DimensionMismatch("vector longer than ambient dimension")
         return not self.reduce(v)
 
     def __eq__(self, other):
@@ -334,32 +328,16 @@ def rank(m: SparseMat) -> int:
     return len(piv)
 
 
-def contains(s: Subspace, v: Vec) -> bool:
-    """True iff v lies in the span of s."""
-    if any(not (0 <= i < s.ambient_dim) for i in v):
-        raise DimensionMismatch("vector longer than ambient dimension")
-    return s.contains_vec(v)
-
-
 def sum_and_intersection_dims(a: Subspace, b: Subspace) -> tuple[int, int]:
     """(dim(a+b), dim(a∩b)) for subspaces of the same ambient space.
 
-    The sum is the row space of the stacked bases.  The intersection
-    dimension is the nullity of the ambient x (dim a + dim b) matrix whose
-    columns are the two bases side by side: a kernel vector (u, -w) means
-    u.a = w.b, which is exactly a common vector.
+    The sum is the row space of the stacked bases, and
+    dim(a∩b) = dim a + dim b - dim(a+b).
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    stacked = list(a.basis) + list(b.basis)
-    dim_sum = Subspace.from_vectors(a.ambient_dim, stacked).dim
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j, v in enumerate(stacked):
-        for i, val in v.items():
-            entries[(i, j)] = val
-    side_by_side = SparseMat(a.ambient_dim, len(stacked), entries)
-    dim_int = kernel_basis(side_by_side).dim
-    return dim_sum, dim_int
+    dim_sum = len(rref(list(a.basis) + list(b.basis))[1])
+    return dim_sum, a.dim + b.dim - dim_sum
 
 
 def solve(m: SparseMat, b: Vec) -> Vec | None:
@@ -422,25 +400,3 @@ def rank_mod_p(m: SparseMat, p: int) -> int:
                 else:
                     r.pop(i, None)
     return len(pivots)
-
-
-def mat_to_json(m: SparseMat) -> dict:
-    """Row-major coordinate triples [row, col, "p/q"]."""
-    triples = [[r, c, str(v)]
-               for (r, c), v in sorted(m.entries.items())]
-    return {"rows": m.rows, "cols": m.cols, "entries": triples}
-
-
-def mat_from_json(data: dict) -> SparseMat:
-    return SparseMat.from_triples(data["rows"], data["cols"],
-                                  data["entries"])
-
-
-def vec_to_json(v: Vec, dim: int) -> dict:
-    return {"dim": dim, "entries": [[i, str(x)]
-                                    for i, x in sorted(v.items())]}
-
-
-def vec_from_json(data: dict) -> tuple[Vec, int]:
-    v = {i: Fraction(x) for i, x in data["entries"]}
-    return {i: x for i, x in v.items() if x}, data["dim"]

@@ -328,10 +328,8 @@ def square_reflection_quandle() -> Rack:
 def tetrahedral_quandle() -> Rack:
     """Conjugation quandle of the four rotations of order 3 in A4
     (one conjugacy class of 3-cycles), sorted by image tuple."""
-    group = symmetric_group(4)
-    even = [p for p in group if _sign(p) == 1]
-    cls = sorted({h.inverse() * parse_perm("(123)", 4) * h for h in even},
-                 key=lambda p: p.images)
+    even = [p for p in symmetric_group(4) if _sign(p) == 1]
+    cls = conjugacy_class(parse_perm("(123)", 4), even)
     return conjugation_quandle(cls, list(range(len(cls))))
 
 

@@ -321,9 +321,13 @@ class PolyMat:
         return (self.dim, self.order, self.parts) \
             == (other.dim, other.order, other.parts)
 
+    @property
+    def nnz(self) -> int:
+        """Number of positions with a nonzero entry."""
+        return len(set().union(*(p.entries for p in self.parts)))
+
     def __repr__(self):
-        nnz = len(set().union(*(p.entries for p in self.parts)))
-        return f"PolyMat(dim={self.dim}, order={self.order}, nnz={nnz})"
+        return f"PolyMat(dim={self.dim}, order={self.order}, nnz={self.nnz})"
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "trunc": self.order,

@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, SizeOverflow, SparseMat,
                      power_exceeds)
-from .racks import Rack, validate_rack
+from .racks import Rack
 from .truncpoly import PolyMat, TruncPoly
 
 
@@ -260,27 +260,3 @@ def trace_power(op: YBOperator, k: int) -> TruncPoly:
     if k < 1:
         raise ValueError("power must be >= 1")
     return op.mat.power(k).trace()
-
-
-def rack_from_operator(op: YBOperator) -> Rack:
-    """Decode a rack-permutation operator back into its table."""
-    n = op.rack_size
-    cols = op.mat.constant.col_vectors()
-    # columns with a nonzero h-coefficient are no basis permutation
-    bumped = {c for k in range(1, op.trunc)
-              for _, c in op.mat.coefficient_matrix(k).entries}
-    table = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            col = cols[n * x + y]
-            if len(col) != 1 or n * x + y in bumped:
-                raise ValueError("operator is not a basis permutation")
-            (row, val), = col.items()
-            if val != 1:
-                raise ValueError("operator is not a basis permutation")
-            y2, xy = divmod(row, n)
-            if y2 != y:
-                raise ValueError("operator does not fix the second slot "
-                                 "as a rack operator must")
-            table[x][y] = xy
-    return validate_rack(table)

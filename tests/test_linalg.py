@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ybrack import linalg
-from ybrack.linalg import (DimensionMismatch, SparseMat, Subspace, contains,
+from ybrack.linalg import (DimensionMismatch, SparseMat, Subspace,
                            image_basis, kernel_basis, rank, rank_mod_p, rref,
-                           solve, sum_and_intersection_dims)
+                           solve, sum_and_intersection_dims, vec_axpy)
 
 F = Fraction
 
@@ -24,8 +24,8 @@ def test_kernel_rank_one_2x2():
     ker = kernel_basis(m)
     assert ker.dim == 1
     # spanned by (2, -1) up to scale
-    assert contains(ker, {0: F(2), 1: F(-1)})
-    assert not contains(ker, {0: F(1)})
+    assert ker.contains_vec({0: F(2), 1: F(-1)})
+    assert not ker.contains_vec({0: F(1)})
 
 
 def test_image_examples():
@@ -36,16 +36,16 @@ def test_image_examples():
 
 def test_contains_examples():
     line = Subspace.from_vectors(2, [{0: F(1)}])
-    assert contains(line, {0: F(3)})
-    assert not contains(line, {1: F(1)})
+    assert line.contains_vec({0: F(3)})
+    assert not line.contains_vec({1: F(1)})
     plane = Subspace.from_vectors(2, [{0: F(1), 1: F(2)}, {1: F(1)}])
-    assert contains(plane, {0: F(5), 1: F(7)})
+    assert plane.contains_vec({0: F(5), 1: F(7)})
 
 
 def test_contains_dimension_mismatch():
     line = Subspace.from_vectors(2, [{0: F(1)}])
     with pytest.raises(DimensionMismatch):
-        contains(line, {5: F(1)})
+        line.contains_vec({5: F(1)})
 
 
 def test_sum_and_intersection_examples():
@@ -63,6 +63,41 @@ def test_sum_and_intersection_mismatch():
     b = Subspace.from_vectors(3, [{0: F(1)}])
     with pytest.raises(DimensionMismatch):
         sum_and_intersection_dims(a, b)
+
+
+def _dims_by_nullity(a, b):
+    """Oracle: dim(a+b) from the stacked bases, and dim(a∩b) as the
+    nullity of the two bases side by side as columns, since a kernel
+    vector (u, -w) means u.a = w.b, a common vector."""
+    stacked = list(a.basis) + list(b.basis)
+    side_by_side = SparseMat(a.ambient_dim, len(stacked), {
+        (i, j): v for j, vec in enumerate(stacked) for i, v in vec.items()})
+    return (Subspace.from_vectors(a.ambient_dim, stacked).dim,
+            kernel_basis(side_by_side).dim)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces spanned by combinations p + c q of vectors from one
+    pool, so that they often meet."""
+    dim = draw(st.integers(1, 6))
+    values = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    vectors = st.dictionaries(st.integers(0, dim - 1), values,
+                              min_size=1, max_size=dim)
+    pool = draw(st.lists(vectors, min_size=1, max_size=6))
+    index = st.integers(0, len(pool) - 1)
+    combos = st.lists(st.tuples(index, st.integers(-1, 1), index),
+                      min_size=1, max_size=4)
+    a, b = ([vec_axpy(pool[p], F(c), pool[q]) for p, c, q in draw(combos)]
+            for _ in range(2))
+    return Subspace.from_vectors(dim, a), Subspace.from_vectors(dim, b)
+
+
+@settings(max_examples=200)
+@given(subspace_pairs())
+def test_sum_and_intersection_match_nullity_oracle(ab):
+    a, b = ab
+    assert sum_and_intersection_dims(a, b) == _dims_by_nullity(a, b)
 
 
 def _random_matrix(rng, rows, cols, nnz):
@@ -160,20 +195,6 @@ def test_matmul_apply_transpose():
     v = {0: F(1), 3: F(2)}
     assert ab.apply(v) == a.apply(b.apply(v))
     assert ab.transpose().transpose() == ab
-
-
-def test_matrix_json_round_trip():
-    m = SparseMat.from_dense([[F(1, 2), 0], [F(-3), F(7, 5)]])
-    data = linalg.mat_to_json(m)
-    assert all(isinstance(t[2], str) for t in data["entries"])
-    assert linalg.mat_from_json(data) == m
-
-
-def test_vector_json_round_trip():
-    v = {0: F(1, 3), 4: F(-2)}
-    data = linalg.vec_to_json(v, 6)
-    back, dim = linalg.vec_from_json(data)
-    assert (back, dim) == (v, 6)
 
 
 def test_entry_bounds_and_zero_rejection():

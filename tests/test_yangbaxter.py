@@ -13,8 +13,7 @@ from ybrack.reference import (DIHEDRAL3_MATRIX,
                               ones_positions)
 from ybrack.truncpoly import PolyMat, TruncPoly
 from ybrack.yangbaxter import (BraidWord, YBOperator, braid_rep, build_cq,
-                               build_jones, build_tau, check_ybe,
-                               rack_from_operator, trace_power)
+                               build_jones, build_tau, check_ybe, trace_power)
 
 F = Fraction
 
@@ -335,15 +334,3 @@ def test_trace_power_equals_fixed_points_of_permutation(rack):
                 if (a, b) == (x, y):
                     fixed += 1
         assert trace_power(op, k) == TruncPoly.const(fixed, 1)
-
-
-# -- decoding ---------------------------------------------------------------
-
-@pytest.mark.parametrize("rack", CORPUS_RACKS, ids=CORPUS_IDS)
-def test_operator_decodes_back_to_rack(rack):
-    assert rack_from_operator(build_cq(rack)).table == rack.table
-
-
-def test_decode_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        rack_from_operator(build_jones(2))
