@@ -8,17 +8,26 @@ matrices store a map ``{(row, col): Fraction}`` of nonzero entries.
 Subspaces are kept in reduced row echelon form with strictly increasing
 pivot columns, so two subspaces are equal iff their bases are identical.
 Pivoting is deterministic: lowest column first, then lowest row.
+
+The same elimination runs over the prime field F_p on int entries; the
+kernel is computed mod P first and certified over Q (see kernel_basis).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 Vec = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# the prime of the modular kernel, and the bound on the numerators and
+# denominators its rational reconstruction accepts
+P = 2 ** 31 - 1
+_LIFT_BOUND = isqrt(P // 2)
 
 
 def vec_axpy(a: Vec, s: Fraction, b: Vec) -> Vec:
@@ -197,36 +206,60 @@ class SparseMat:
         return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
 
-def rref(vectors: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form of a list of sparse row vectors.
+def _field_ops(p: int | None):
+    """(axpy, scale) over Q when p is None, else over F_p on ints in
+    [0, p): axpy(a, s, b) = a + s*b, scale(r, c) = r / c."""
+    if p is None:
+        return vec_axpy, lambda r, c: {i: v / c for i, v in r.items()}
+
+    def axpy(a, s, b):
+        out = dict(a)
+        for i, v in b.items():
+            w = (out.get(i, 0) + s * v) % p
+            if w:
+                out[i] = w
+            else:
+                out.pop(i, None)
+        return out
+
+    def scale(r, c):
+        inv = pow(c, -1, p)
+        return {i: v * inv % p for i, v in r.items()}
+
+    return axpy, scale
+
+
+def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form of an iterable of sparse row vectors, over
+    Q, or over F_p when the prime p is given and the entries are ints in
+    [0, p).
 
     Returns (rows, pivots): rows have leading coefficient 1 at strictly
     increasing pivot columns and are fully reduced against each other.
     The result is the canonical basis of the row space.
     """
+    axpy, scale = _field_ops(p)
     pivots: dict[int, Vec] = {}  # pivot col -> row
     for row in vectors:
         r = dict(row)
         while r:
             lead = min(r)
-            p = pivots.get(lead)
-            if p is None:
+            piv = pivots.get(lead)
+            if piv is None:
                 coeff = r[lead]
                 if coeff != 1:
-                    r = {i: v / coeff for i, v in r.items()}
+                    r = scale(r, coeff)
                 pivots[lead] = r
                 break
-            r = vec_axpy(r, -r[lead], p)
+            r = axpy(r, -r[lead], piv)
     piv_cols = sorted(pivots)
-    # back-substitute for the reduced form
-    for idx in range(len(piv_cols) - 1, -1, -1):
-        pc = piv_cols[idx]
-        prow = pivots[pc]
-        for qc in piv_cols[:idx]:
-            qrow = pivots[qc]
-            coeff = qrow.get(pc)
-            if coeff:
-                pivots[qc] = vec_axpy(qrow, -coeff, prow)
+    # back-substitute for the reduced form, last pivot first: the rows
+    # already reduced hold no pivot column but their own
+    for pc in reversed(piv_cols):
+        r = pivots[pc]
+        for c in [c for c in r if c != pc and c in pivots]:
+            r = axpy(r, -r[c], pivots[c])
+        pivots[pc] = r
     return [pivots[c] for c in piv_cols], piv_cols
 
 
@@ -301,20 +334,122 @@ class Subspace:
 
 
 def kernel_basis(m: SparseMat) -> Subspace:
-    """Canonical basis of {v : m v = 0}."""
-    rows = [r for r in m.row_vectors() if r]
-    ref_rows, piv_cols = rref(rows)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(m.cols) if c not in piv_set]
-    basis: list[Vec] = []
-    for f in free_cols:
-        v: Vec = {f: ONE}
-        for pc, row in zip(piv_cols, ref_rows):
-            coeff = row.get(f)
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
+    """Canonical basis of {v : m v = 0}.
+
+    The kernel is computed mod P and lifted by rational reconstruction,
+    then certified over Q: every lifted vector is checked to satisfy
+    m v = 0 exactly, and the vectors are independent (the identity on the
+    free columns) and number cols - rank_P >= cols - rank_Q, so they span
+    the kernel.  A denominator divisible by P, a failed reconstruction or
+    a failed check falls back to elimination over Q.
+    """
+    basis = _modular_kernel(m)
+    if basis is None:
+        basis = _rational_kernel(m)
     return Subspace.from_vectors(m.cols, basis)
+
+
+def _free_entries(cols: int, rows: list[Vec], pivots: list[int]):
+    """{f: {pc: entry of pivot row pc at f}} over the free columns f of a
+    reduced echelon form; the kernel is spanned by the e_f - sum of
+    entry * e_pc."""
+    pivot_set = set(pivots)
+    out: dict[int, Vec] = {f: {} for f in range(cols) if f not in pivot_set}
+    for pc, row in zip(pivots, rows):
+        for c, v in row.items():
+            if c != pc:
+                out[c][pc] = v
+    return out
+
+
+def _rational_kernel(m: SparseMat) -> list[Vec]:
+    """A kernel basis of m by elimination over Q."""
+    ref_rows, piv_cols = rref(r for r in m.row_vectors() if r)
+    basis = []
+    for f, entries in _free_entries(m.cols, ref_rows, piv_cols).items():
+        v: Vec = {f: ONE}
+        for pc, a in entries.items():
+            v[pc] = -a
+        basis.append(v)
+    return basis
+
+
+def _integer_rows(m: SparseMat) -> list[dict[int, int]] | None:
+    """The nonzero rows of m times the lcm of m's denominators, without
+    repeats up to sign, fewest nonzeros first.  None when a denominator
+    is divisible by P."""
+    den = lcm(*{v.denominator for v in m.entries.values()})
+    if den % P == 0:
+        return None
+    grouped: dict[int, dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
+        a, d = v.as_integer_ratio()
+        row = grouped.get(r)
+        if row is None:
+            row = grouped[r] = {}
+        row[c] = a * (den // d)
+    unique: dict[tuple, None] = {}
+    for row in grouped.values():
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((c, -a) for c, a in key)
+        unique[key] = None
+    return [dict(key) for key in sorted(unique, key=len)]
+
+
+def _lift(x: int) -> Fraction | None:
+    """The a/b = x mod P with |a|, b <= _LIFT_BOUND, or None (Wang's
+    rational reconstruction)."""
+    r0, r1, t0, t1 = P, x, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_kernel(m: SparseMat) -> list[Vec] | None:
+    """A kernel basis of m by elimination mod P, lifted and checked
+    exactly; None when that fails."""
+    rows = _integer_rows(m)
+    if rows is None:
+        return None
+    ref_rows, piv_cols = rref(({c: a % P for c, a in r.items() if a % P}
+                               for r in rows), P)
+    lifts: dict[int, Fraction | None] = {}
+    basis = []
+    for f, entries in _free_entries(m.cols, ref_rows, piv_cols).items():
+        v: Vec = {f: ONE}
+        for pc, a in entries.items():
+            if a not in lifts:
+                lifts[a] = _lift(P - a)
+            q = lifts[a]
+            if q is None:
+                return None
+            v[pc] = q
+        basis.append(v)
+    return basis if _annihilates(rows, basis) else None
+
+
+def _annihilates(rows: list[dict[int, int]], basis: list[Vec]) -> bool:
+    """True iff row . v = 0 for every integer row and every v in basis,
+    each v scaled to integers first."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for k, v in enumerate(basis):
+        ratios = {c: q.as_integer_ratio() for c, q in v.items()}
+        den = lcm(*(d for _, d in ratios.values()))
+        for c, (a, d) in ratios.items():
+            by_col.setdefault(c, []).append((k, a * (den // d)))
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, a in row.items():
+            for k, b in by_col.get(c, ()):
+                acc[k] = acc.get(k, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
 
 
 def image_basis(m: SparseMat) -> Subspace:
@@ -365,38 +500,3 @@ def solve(m: SparseMat, b: Vec) -> Vec | None:
         if val:
             x[pc] = val
     return x
-
-
-def rank_mod_p(m: SparseMat, p: int) -> int:
-    """Rank of m over the prime field F_p (cross-check for rational rank)."""
-    rows = []
-    for r in m.row_vectors():
-        rr = {}
-        for c, v in r.items():
-            num = v.numerator % p
-            den = v.denominator % p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            val = (num * pow(den, p - 2, p)) % p
-            if val:
-                rr[c] = val
-        if rr:
-            rows.append(rr)
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            lead = min(r)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(r[lead], p - 2, p)
-                pivots[lead] = {i: (v * inv) % p for i, v in r.items()}
-                break
-            coeff = r[lead]
-            for i, v in piv.items():
-                w = (r.get(i, 0) - coeff * v) % p
-                if w:
-                    r[i] = w
-                else:
-                    r.pop(i, None)
-    return len(pivots)

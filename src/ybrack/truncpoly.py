@@ -361,11 +361,18 @@ class PolyMat:
         return PolyMat.from_entries(dim, order, triples)
 
 
+# slots charged for each power of h besides its dim^2 entries: an empty
+# part costs about 170 bytes, a stored small entry about 115 (tracemalloc,
+# CPython 3.11)
+ORDER_SLOTS = 2
+
+
 def check_order(dim: int, order: int) -> None:
     """Raise SizeOverflow, before anything of that size is allocated, when
     a dim x dim matrix over Q[h]/(h^order) has more than
-    DEFAULT_ENTRY_LIMIT coefficient slots."""
-    if dim * dim * order > DEFAULT_ENTRY_LIMIT:
+    DEFAULT_ENTRY_LIMIT coefficient slots, ORDER_SLOTS per power of h
+    included."""
+    if (dim * dim + ORDER_SLOTS) * order > DEFAULT_ENTRY_LIMIT:
         raise SizeOverflow(
             f"a {dim} x {dim} matrix over Q[h]/(h^{order}) exceeds the "
             f"entry limit {DEFAULT_ENTRY_LIMIT}")

@@ -219,15 +219,16 @@ def braid_rep(op: YBOperator, word: BraidWord) -> PolyMat:
     The generator sigma_i acts as c on tensor factors i, i+1; a word is
     read left to right as a composition of maps, so the first letter is
     applied last to vectors (braids act on the left).  Raises SizeOverflow
-    before allocating when the n^k columns exceed DEFAULT_ENTRY_LIMIT.
+    before allocating when the n^k x n^k matrix over Q[h]/(h^trunc) has
+    more than DEFAULT_ENTRY_LIMIT coefficient slots.
     """
     n = op.rack_size
     k = word.strands
     order = op.trunc
-    if power_exceeds(n, k, DEFAULT_ENTRY_LIMIT):
+    if power_exceeds(n, 2 * k, DEFAULT_ENTRY_LIMIT // order):
         raise SizeOverflow(
-            f"braid matrix of dimension {n}^{k} exceeds the entry limit "
-            f"{DEFAULT_ENTRY_LIMIT}")
+            f"braid matrix of dimension {n}^{k} over Q[h]/(h^{order}) "
+            f"exceeds the entry limit {DEFAULT_ENTRY_LIMIT}")
     dim = n ** k
     mats = [op.mat]
     if any(l < 0 for l in word.letters):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -220,13 +221,30 @@ def test_normalize_input_failing_ybe_is_math_failure(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     # 2^24 columns
     ["braid", "--rack", "trivial:2", "--word", "1", "--strands", "24"],
+    # 2^23 columns at trunc 1 pass a column count but not (2^23)^2 slots
+    ["braid", "--rack", "trivial:2", "--word", "1", "--strands", "23"],
     # 4^12 quasi-diagonal index pairs of 12 slots
     ["entropic-basis", "--rack", "trivial:2", "--degree", "12"],
-], ids=["braid", "entropic-basis"])
+], ids=["braid", "braid-slots", "entropic-basis"])
 def test_oversized_requests_refused_before_allocating(argv, capsys):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert "entry limit" in err
+    assert err.count("\n") == 1 and "entry limit" in err
+
+
+def test_normalize_guard_charges_each_order(tmp_path, capsys):
+    # 1 x 1 at trunc 10^7: one slot per order, but ten million parts
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(
+        {"matrix": {"dim": 1, "trunc": 10 ** 7, "entries": []}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", "--rack", "trivial:1",
+                         "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "entry limit" in err
 
 
 @pytest.mark.parametrize("degree", ["0", "-1"])
