@@ -26,7 +26,7 @@ from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
 from .truncpoly import PolyMat, TruncPoly
 from .yangbaxter import YBOperator, YbeVerdict, build_cq, build_tau, \
-    check_ybe, trace_power
+    check_ybe, conjugate, trace_power
 
 
 class NotInvertibleError(ValueError):
@@ -213,16 +213,18 @@ class Equivalence:
         return self.mat.dim
 
     def conjugate(self, op: YBOperator) -> YBOperator:
-        """(alpha^{-1} x alpha^{-1}) c (alpha x alpha), which equals
-        (alpha x alpha)^{-1} c (alpha x alpha): only alpha is inverted."""
-        inv = self.mat.inverse()
-        return YBOperator(op.rack_size, inv.tensor(inv).compose(op.mat)
-                          .compose(self.mat.tensor(self.mat)))
+        """(alpha x alpha)^{-1} c (alpha x alpha), on the slot kernel."""
+        return conjugate(op, self.mat)
 
 
-def _deformation_term(op: YBOperator, cq_inv: PolyMat) -> PolyMat:
-    """f with op = c_Q (II + f), given c_Q^{-1}."""
-    return cq_inv.compose(op.mat).sub(PolyMat.identity(op.dim, op.trunc))
+def _deformation_term(op: YBOperator, back: dict[int, int]) -> PolyMat:
+    """f with op = c_Q (II + f).  c_Q sends e_j to e_pi(j), so c_Q^{-1}
+    moves row i to row back[i] = pi^{-1}(i) in every part."""
+    parts = [SparseMat(op.dim, op.dim, {(back[i], j): v for (i, j), v
+                                        in p.entries.items()})
+             for p in op.mat.parts]
+    parts[0] = parts[0].sub(SparseMat.identity(op.dim))
+    return PolyMat(op.dim, op.trunc, parts)
 
 
 def normalize_to_entropic(op: YBOperator, rack: Rack,
@@ -266,12 +268,12 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
         entries[(i, len(ind_vectors) + j)] = v
     system = SparseMat(n ** 4, ncols, entries)
 
-    cq_inv = cq.mat.inverse()
+    back = {i: j for i, j in cq.mat.constant.entries}
     alpha = PolyMat.identity(n, order)
     current = op
     # the term of the current operator; after degree k's conjugation it
     # serves both that degree's residual check and degree k+1
-    f = _deformation_term(current, cq_inv)
+    f = _deformation_term(current, back)
     for k in range(1, order):
         e_k = Cochain(n, 2, f.coefficient_matrix(k).entries)
         solution = linalg.solve(system, e_k.to_vector())
@@ -287,7 +289,7 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
             PolyMat.from_rational(g, order, h_degree=k)))
         current = step.conjugate(current)
         alpha = alpha.compose(step.mat)
-        f = _deformation_term(current, cq_inv)
+        f = _deformation_term(current, back)
         residual = Cochain(n, 2, f.coefficient_matrix(k).entries)
         if not is_entropic(rack, residual):
             raise DecompositionError(

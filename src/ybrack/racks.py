@@ -168,12 +168,6 @@ class Rack:
     def rho_inv(self, y: int) -> Perm:
         return _rho_inv(self, y)
 
-    def act_word(self, x: int, word) -> int:
-        """x acted by the right translations of word, left to right."""
-        for y in word:
-            x = self.table[x][y]
-        return x
-
     def to_json(self) -> dict:
         return {"size": self.size, "table": [list(r) for r in self.table]}
 

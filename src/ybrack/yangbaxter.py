@@ -8,16 +8,21 @@ by the source basis vector (column j holds the image of basis vector j).
 The rack operator c_Q sends x tensor y to y tensor (x*y); the axiom that
 right translations are bijections makes it a permutation of the basis,
 and self-distributivity makes it a Yang-Baxter operator.
+
+One integer slot kernel, _apply_slots, serves check_ybe, braid_rep and
+conjugate: it applies a map in integer, coefficient-major form to
+adjacent tensor slots, column by column, so no product of dense tensor
+powers is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, SizeOverflow, SparseMat,
-                     power_exceeds)
+from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, DimensionMismatch,
+                     SizeOverflow, SparseMat, power_exceeds)
 from .racks import Rack
 from .truncpoly import PolyMat, TruncPoly
 
@@ -151,12 +156,13 @@ def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]
 
 
 def _apply_slots(form, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Apply an integer form to the two adjacent tensor slots of weights
-    base * n and base.
+    """Apply an integer form of width nn to the tensor slots whose lowest
+    has weight base: an operator acts on two adjacent slots (nn = n^2),
+    a map on V on one (nn = n).
 
     vec is coefficient-major: vec[k] maps a basis index to its integer
     u^k coefficient, and products of degree >= len(vec) are dropped.  A
-    basis index splits as e = (hi * n^2 + pair) * base + lo, and the form
+    basis index splits as e = (hi * nn + pair) * base + lo, and the form
     acts on pair.
     """
     nn = len(form[0])
@@ -175,18 +181,47 @@ def _apply_slots(form, base: int, vec: list[dict[int, int]]) -> list[dict[int, i
     return [{e: a for e, a in part.items() if a} for part in out]
 
 
-def _apply_word(forms, n: int, strands: int, letters, vec):
-    """Apply a braid word to a coefficient-major vector on the
-    strands-fold tensor power; forms[letter < 0] is the form that
-    sigma_|letter| uses, and the last letter acts first."""
-    for letter in reversed(letters):
-        vec = _apply_slots(forms[letter < 0],
-                           n ** (strands - 1 - abs(letter)), vec)
+def _braid_word(n: int, strands: int, letters) -> list[tuple[int, int]]:
+    """A braid word on the strands-fold tensor power as (form, base)
+    steps in the order they act, the last letter first: form 0 is c,
+    form 1 its inverse, and base the weight of the lower of the slots."""
+    return [(int(letter < 0), n ** (strands - 1 - abs(letter)))
+            for letter in reversed(letters)]
+
+
+def _apply_word(forms, word, vec):
+    for m, base in word:
+        vec = _apply_slots(forms[m], base, vec)
     return vec
 
 
 def _basis_vector(j: int, order: int) -> list[dict[int, int]]:
     return [{j: 1}] + [{} for _ in range(order - 1)]
+
+
+def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
+    """Matrix of a word of (form, base) steps on mats, built column by
+    column from the basis vectors.  All forms share one u = h/D, so that
+    their products stay in u, and the integer result is d times the
+    rational one, d the product of the d0 of the letters."""
+    scales = [_scales(m) for m in mats]
+    big = lcm(*(b for _, b in scales))
+    forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
+    d = prod(scales[m][0] for m, _ in word)
+    dens = [d * big ** j for j in range(order)]
+    # entries repeat across columns: build each Fraction once
+    fracs: dict[tuple[int, int], Fraction] = {}
+    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
+    for j in range(dim):
+        vec = _apply_word(forms, word, _basis_vector(j, order))
+        for deg, (part, den) in enumerate(zip(vec, dens)):
+            dst = parts[deg]
+            for i, a in part.items():
+                f = fracs.get((a, deg))
+                if f is None:
+                    f = fracs[(a, deg)] = Fraction(a, den)
+                dst[(i, j)] = f
+    return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
 
 
 def check_ybe(op: YBOperator) -> YbeVerdict:
@@ -202,10 +237,12 @@ def check_ybe(op: YBOperator) -> YbeVerdict:
     """
     n = op.rack_size
     forms = [_int_form(op.mat, *_scales(op.mat))]
+    lhs_word = _braid_word(n, 3, (1, 2, 1))
+    rhs_word = _braid_word(n, 3, (2, 1, 2))
     for e in range(n ** 3):
         start = _basis_vector(e, op.trunc)
-        lhs = _apply_word(forms, n, 3, (1, 2, 1), start)
-        rhs = _apply_word(forms, n, 3, (2, 1, 2), start)
+        lhs = _apply_word(forms, lhs_word, start)
+        rhs = _apply_word(forms, rhs_word, start)
         if lhs != rhs:
             x, rest = divmod(e, n * n)
             y, z = divmod(rest, n)
@@ -229,31 +266,29 @@ def braid_rep(op: YBOperator, word: BraidWord) -> PolyMat:
         raise SizeOverflow(
             f"braid matrix of dimension {n}^{k} over Q[h]/(h^{order}) "
             f"exceeds the entry limit {DEFAULT_ENTRY_LIMIT}")
-    dim = n ** k
     mats = [op.mat]
     if any(l < 0 for l in word.letters):
         mats.append(op.mat.inverse())
-    scales = [_scales(m) for m in mats]
-    # one u = h/D for c and its inverse, so that their products stay in u
-    big = lcm(*(b for _, b in scales))
-    forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
-    d = 1
-    for letter in word.letters:
-        d *= scales[letter < 0][0]
-    dens = [d * big ** j for j in range(order)]
-    # entries repeat across columns: build each Fraction once
-    fracs: dict[tuple[int, int], Fraction] = {}
-    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
-    for j in range(dim):
-        vec = _apply_word(forms, n, k, word.letters, _basis_vector(j, order))
-        for deg, (part, den) in enumerate(zip(vec, dens)):
-            dst = parts[deg]
-            for i, a in part.items():
-                f = fracs.get((a, deg))
-                if f is None:
-                    f = fracs[(a, deg)] = Fraction(a, den)
-                dst[(i, j)] = f
-    return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
+    return _word_matrix(mats, _braid_word(n, k, word.letters), n ** k, order)
+
+
+def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
+    """(alpha^{-1} x alpha^{-1}) c (alpha x alpha), which equals
+    (alpha x alpha)^{-1} c (alpha x alpha): only the n x n alpha is
+    inverted, and no tensor square is formed.
+
+    Column by column, this is a word of five letters on two strands,
+    the last acting first: alpha on slot 0, alpha on slot 1, c on the
+    pair, then alpha^{-1} on slot 0 and on slot 1.
+    """
+    n = alpha.dim
+    if op.rack_size != n or op.trunc != alpha.order:
+        raise DimensionMismatch(
+            f"operator on ({op.rack_size}^2, trunc {op.trunc}) does not "
+            f"match alpha ({n}, trunc {alpha.order})")
+    word = [(0, n), (0, 1), (1, 1), (2, n), (2, 1)]
+    return YBOperator(n, _word_matrix([alpha, op.mat, alpha.inverse()],
+                                      word, n * n, op.trunc))
 
 
 def trace_power(op: YBOperator, k: int) -> TruncPoly:

@@ -24,6 +24,13 @@ SMALL = [dihedral_rack(3), square_reflection_quandle(), trivial_rack(3)]
 SMALL_IDS = ["dihedral:3", "d4-reflections", "trivial:3"]
 
 
+def act_word(rack, x, word):
+    """x acted by the right translations of word, left to right."""
+    for y in word:
+        x = rack.op(x, y)
+    return x
+
+
 def naive_partial_coboundary(rack, f, i):
     """Independent oracle: evaluate the two-term index formula literally,
     looping over every output index pair."""
@@ -34,7 +41,7 @@ def naive_partial_coboundary(rack, f, i):
         for ys in itertools.product(range(n), repeat=d + 1):
             val = F(0)
             # positive term: f without slot i, delta on the braided slot i
-            if rack.act_word(xs[i], xs[i + 1:]) == rack.act_word(ys[i], ys[i + 1:]):
+            if act_word(rack, xs[i], xs[i + 1:]) == act_word(rack, ys[i], ys[i + 1:]):
                 val += f.value(xs[:i] + xs[i + 1:], ys[:i] + ys[i + 1:])
             # negative term: prefix slots translated by slot i, delta(x_i, y_i)
             if xs[i] == ys[i]:

@@ -1,4 +1,5 @@
-"""Property test: the normalization round trip on generated racks.
+"""Property tests: the normalization round trip on generated racks, and
+the slot-kernel conjugation against the dense tensor-square formula.
 
 An entropic deformation s(h) c_Q (g tensor g), with g = I plus h-multiples
 of degree-1 entropic cochains, satisfies the Yang-Baxter equation.  It is
@@ -7,12 +8,17 @@ j stay entropic, so normalization meets both the zero-g and the
 conjugating branch.
 """
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from test_cohomology_properties import fractions, racks
 from ybrack.cohomology import entropic_basis
-from ybrack.deformations import normalize_to_entropic, poly_mat_is_entropic
-from ybrack.linalg import SparseMat
+from ybrack.deformations import (Equivalence, normalize_to_entropic,
+                                 poly_mat_is_entropic)
+from ybrack.linalg import DimensionMismatch, SparseMat
+from ybrack.racks import dihedral_rack
 from ybrack.truncpoly import PolyMat, TruncPoly
 from ybrack.yangbaxter import YBOperator, build_cq
 
@@ -49,3 +55,77 @@ def test_normalize_round_trip_on_generated_racks(rack_op):
     residual = cq.mat.inverse().compose(out.mat).sub(
         PolyMat.identity(op.dim, op.trunc))
     assert poly_mat_is_entropic(rack, residual)
+
+
+# large, coprime-ish denominators, so the common u = h/D and d0 matter
+wide_fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                           st.sampled_from([1, 3, 7, 97, 1024, 65537,
+                                            10 ** 9 + 7]))
+
+
+@st.composite
+def poly_mats(draw, dim, trunc, constant):
+    """A dim x dim matrix over Q[h]/(h^trunc): the given constant term
+    (drawn when None) plus random sparse h^k coefficients."""
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    parts = []
+    for k in range(trunc):
+        if k == 0 and constant is not None:
+            parts.append(constant)
+            continue
+        m = draw(st.dictionaries(cells, wide_fractions, max_size=dim * dim))
+        parts.append(SparseMat(dim, dim, {c: v for c, v in m.items() if v}))
+    return PolyMat(dim, trunc, parts)
+
+
+@st.composite
+def conjugation_cases(draw):
+    n = draw(st.integers(1, 3))
+    trunc = draw(st.integers(1, 4))
+    alpha = draw(poly_mats(n, trunc, SparseMat.identity(n)))
+    # the constant term is drawn too, so that d0(op) > 1 occurs
+    op = draw(poly_mats(n * n, trunc, None))
+    return Equivalence(alpha), YBOperator(n, op)
+
+
+def dense_conjugate(alpha, op):
+    """The tensor-square formula (alpha^-1 x alpha^-1) c (alpha x alpha)."""
+    inv = alpha.mat.inverse()
+    return inv.tensor(inv).compose(op.mat).compose(alpha.mat.tensor(alpha.mat))
+
+
+# denominators in d0(c), in D(c) and in D(alpha), on every power of h
+SCALED = (
+    Equivalence(PolyMat(2, 3, [
+        SparseMat.identity(2), SparseMat(2, 2, {(0, 1): Fraction(1, 5)}),
+        SparseMat(2, 2, {(1, 0): Fraction(-7, 9), (1, 1): Fraction(2)})])),
+    YBOperator(2, PolyMat(4, 3, [
+        SparseMat(4, 4, {(0, 0): Fraction(1, 2), (3, 1): Fraction(-2, 3),
+                         (1, 3): Fraction(5, 7), (2, 2): Fraction(1)}),
+        SparseMat(4, 4, {(1, 2): Fraction(3, 11)}),
+        SparseMat(4, 4, {(0, 3): Fraction(1, 13), (2, 0): Fraction(4)})])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugation_cases())
+@example(SCALED)
+def test_conjugate_matches_the_tensor_square_formula(case):
+    alpha, op = case
+    out = alpha.conjugate(op)
+    want = dense_conjugate(alpha, op)
+    assert out.rack_size == op.rack_size
+    assert (out.mat.dim, out.mat.order) == (want.dim, want.order)
+    for k in range(op.trunc):
+        assert out.mat.coefficient_matrix(k) == want.coefficient_matrix(k)
+
+
+def test_conjugate_rejects_a_rack_size_mismatch():
+    alpha = Equivalence(PolyMat.identity(2, 3))
+    with pytest.raises(DimensionMismatch):
+        alpha.conjugate(build_cq(dihedral_rack(3), 3))
+
+
+def test_conjugate_rejects_a_trunc_mismatch():
+    alpha = Equivalence(PolyMat.identity(3, 3))
+    with pytest.raises(DimensionMismatch):
+        alpha.conjugate(build_cq(dihedral_rack(3), 4))
