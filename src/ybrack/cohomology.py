@@ -14,6 +14,14 @@ operators d_i.  In index form, each d_i f has two terms on (d+1)-tuples
   - f<prefix slots acted by x_i (resp. y_i), tail unchanged>
                            *  delta(x_i, y_i)
 
+Every coboundary is assembled row by row from per-partial index tables:
+each cell (u -> v) sends its 2n terms through d_i by list lookups, and
+the terms are summed as ints into {row: {col: int}}.  The same row sums
+give the cochain coboundary (over the common denominator of the
+cochain), coboundary_matrix (one Fraction per distinct value), and
+cocycle_space, which hands the distinct nonzero rows, up to sign,
+straight to the certified modular kernel without forming the matrix.
+
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
 behaviourally equivalent) and fully equivariant (invariant under the
@@ -27,6 +35,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .linalg import (DEFAULT_ENTRY_LIMIT, SparseMat, Subspace, SizeOverflow,
@@ -94,63 +103,88 @@ class Cochain(SparseMat):
 
 
 @functools.lru_cache(maxsize=None)
-def _word_perm(rack: Rack, word: tuple[int, ...]) -> Perm:
-    """Product of the right translations of word, applied left to right."""
-    p = Perm.identity(rack.size)
-    for y in word:
-        p = p * rack.rho(y)
-    return p
+def _partial_tables(rack: Rack, degree: int, i: int) -> tuple:
+    """Row-index tables of d_i on degree-d cells (u -> v).
 
+    With T = n^(d-i) and N = n^(d+1), the codes split into i head slots
+    and d-i tail slots, encode(u) = hx * T + tx and encode(v) = hy * T + ty.
+    Over a in 0..n-1 the cell's 2n terms land in the rows
 
-def _entry_terms(rack: Rack, i: int, u: tuple, v: tuple):
-    """Where the (u -> v) entry of a degree-d cochain lands under d_i.
+      +  (hx*n*T + tx)*N + hy*n*T + ty + a_off[a] + tail_y[ty][tail_x[tx][a]]
+      -  tx*N + ty + head_x[hx][a] + head_y[hy][a]
 
-    Yields (encode(x), encode(y), sign) over the 2n output positions
-    (x_tuple, y_tuple); the codes are assembled from the codes of the
-    unchanged head and tail slots.
+    tail_x[tx][a] is a acted by the tail word of u, and tail_y[ty] takes
+    it back through the tail word of v (times T), which puts slot i of x
+    at a and slot i of y where the braided slots agree; head_x and head_y
+    hold the head slots translated by rho(a)^-1, with slot i at a.
     """
     n = rack.size
-    scale = n ** (len(u) - i)
-    tail_x, tail_y = encode(u[i:], n), encode(v[i:], n)
-    head_x, head_y = encode(u[:i], n) * n, encode(v[:i], n) * n
-    wu = _word_perm(rack, u[i:])
-    wv_inv = _word_perm(rack, v[i:]).inverse()
-    for a in range(n):
-        yield ((head_x + a) * scale + tail_x,
-               (head_y + wv_inv(wu(a))) * scale + tail_y, 1)
-    for a in range(n):
-        abar = rack.rho_inv(a)
-        yield ((encode(map(abar, u[:i]), n) * n + a) * scale + tail_x,
-               (encode(map(abar, v[:i]), n) * n + a) * scale + tail_y, -1)
+    T, N = n ** (degree - i), n ** (degree + 1)
+    tail_x, tail_y = [], []
+    for tx in range(T):
+        word = Perm.identity(n)
+        for t in decode(tx, degree - i, n):
+            word = word * rack.rho(t)
+        tail_x.append(word.images)
+        tail_y.append([b * T for b in word.inverse().images])
+    inv = [rack.rho(a).inverse() for a in range(n)]
+    head_x, head_y = [], []
+    for h in range(n ** i):
+        head = decode(h, i, n)
+        bars = [encode(map(inv[a], head), n) * n * T for a in range(n)]
+        head_x.append([b * N + a * T * (N + 1) for a, b in enumerate(bars)])
+        head_y.append(bars)
+    a_off = [a * T * N for a in range(n)]
+    return T, a_off, tail_x, tail_y, head_x, head_y
 
 
-def _coboundary_sum(rack: Rack, degree: int, partials, cells) -> dict:
+def _row_sums(rack: Rack, degree: int, partials, cells) -> dict:
     """Sum of sign * d_i over the (i, sign) in partials, applied to each
-    cell (u, v, col, value) of degree-d indicators, value times (u -> v).
+    cell (encode(u), encode(v), col, value) of degree-d indicators, value
+    times (u -> v); values are ints.
 
-    Returns {(row, col): total} with row = encode(x) * n^(d+1) + encode(y),
+    Returns {row: {col: total}} with row = encode(x) * n^(d+1) + encode(y),
     the index of Cochain.to_vector; totals may be zero.
     """
-    dim_out = rack.size ** (degree + 1)
-    out: dict = {}
-    for u, v, col, val in cells:
-        for i, sign in partials:
-            pos = val if sign > 0 else -val
-            neg = -pos
-            for xc, yc, s in _entry_terms(rack, i, u, v):
-                key = (xc * dim_out + yc, col)
-                out[key] = out.get(key, 0) + (pos if s > 0 else neg)
-    return out
+    n = rack.size
+    N = n ** (degree + 1)
+    tabs = [(sign, *_partial_tables(rack, degree, i)) for i, sign in partials]
+    rows: dict = {}
+    get = rows.get
+    for uc, vc, col, val in cells:
+        for sign, T, a_off, tail_x, tail_y, head_x, head_y in tabs:
+            hx, tx = divmod(uc, T)
+            hy, ty = divmod(vc, T)
+            base = (hx * n * T + tx) * N + hy * n * T + ty
+            back = tail_y[ty]
+            pos = [base + off + back[c] for off, c in zip(a_off, tail_x[tx])]
+            base = tx * N + ty
+            neg = [base + p + q for p, q in zip(head_x[hx], head_y[hy])]
+            v = val if sign > 0 else -val
+            for terms, w in ((pos, v), (neg, -v)):
+                for r in terms:
+                    row = get(r)
+                    if row is None:
+                        rows[r] = {col: w}
+                    else:
+                        row[col] = row.get(col, 0) + w
+    return rows
+
+
+def _alternating(degree: int) -> list[tuple[int, int]]:
+    """The (i, sign) of every partial of the full coboundary."""
+    return [(i, (-1) ** i) for i in range(degree + 1)]
 
 
 def _cochain_sum(rack: Rack, f: Cochain, partials) -> Cochain:
-    """The signed sum of partials applied to f."""
-    n, d = rack.size, f.degree
-    sums = _coboundary_sum(rack, d, partials, (
-        (decode(xc, d, n), decode(yc, d, n), 0, val)
-        for (yc, xc), val in f.entries.items()))
-    return Cochain.from_vector(n, d + 1,
-                               {row: t for (row, _), t in sums.items()})
+    """The signed sum of partials applied to f, summed as ints over the
+    common denominator of f's values."""
+    den = lcm(*(v.denominator for v in f.entries.values()))
+    sums = _row_sums(rack, f.degree, partials, (
+        (xc, yc, 0, v.numerator * (den // v.denominator))
+        for (yc, xc), v in f.entries.items()))
+    return Cochain.from_vector(rack.size, f.degree + 1, {
+        r: Fraction(row[0], den) for r, row in sums.items() if row[0]})
 
 
 def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
@@ -162,15 +196,13 @@ def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
 
 def coboundary(rack: Rack, f: Cochain) -> Cochain:
     """Alternating sum of the partial coboundaries."""
-    return _cochain_sum(rack, f, [(i, (-1) ** i) for i in range(f.degree + 1)])
+    return _cochain_sum(rack, f, _alternating(f.degree))
 
 
-def _matrix_sum(rack: Rack, degree: int, partials) -> SparseMat:
-    """Matrix of the signed sum of partials on indicator cochains.
-
-    Entries are summed as ints and stored as one Fraction per distinct
-    value, since elimination divides them.
-    """
+def _matrix_rows(rack: Rack, degree: int, partials) -> dict:
+    """Rows {row: {col: int}} of the signed sum of partials on the
+    indicator cochains, column j the indicator of index j of
+    Cochain.to_vector; raises before assembling anything too large."""
     n = rack.size
     if degree not in (1, 2, 3):
         raise ValueError("coboundary matrices support degrees 1..3")
@@ -178,13 +210,20 @@ def _matrix_sum(rack: Rack, degree: int, partials) -> SparseMat:
         raise SizeOverflow(
             f"degree-{degree} coboundary matrix for size {n} "
             f"exceeds the entry limit {DEFAULT_ENTRY_LIMIT}")
-    sums = _coboundary_sum(rack, degree, partials, (
-        (uv[:degree], uv[degree:], col, 1)
-        for col, uv in enumerate(
-            itertools.product(range(n), repeat=2 * degree))))
-    fracs = {t: Fraction(t) for t in set(sums.values()) if t}
-    return SparseMat(n ** (2 * degree + 2), n ** (2 * degree),
-                     {key: fracs[t] for key, t in sums.items() if t})
+    dim = n ** degree
+    return _row_sums(rack, degree, partials, (
+        (uc, vc, uc * dim + vc, 1)
+        for uc in range(dim) for vc in range(dim)))
+
+
+def _matrix(rack: Rack, degree: int, partials) -> SparseMat:
+    """_matrix_rows as a SparseMat, one Fraction per distinct value."""
+    rows = _matrix_rows(rack, degree, partials)
+    fracs = {t: Fraction(t) for row in rows.values() for t in row.values()}
+    n = rack.size
+    return SparseMat(n ** (2 * degree + 2), n ** (2 * degree), {
+        (r, c): fracs[t] for r, row in rows.items()
+        for c, t in row.items() if t})
 
 
 def partial_coboundary_matrix(rack: Rack, degree: int, i: int) -> SparseMat:
@@ -192,18 +231,20 @@ def partial_coboundary_matrix(rack: Rack, degree: int, i: int) -> SparseMat:
 
     Shape n^(2(d+1)) x n^(2d); column indices follow Cochain.to_vector.
     """
-    return _matrix_sum(rack, degree, [(i, 1)])
+    return _matrix(rack, degree, [(i, 1)])
 
 
 def coboundary_matrix(rack: Rack, degree: int) -> SparseMat:
     """Matrix of the full coboundary in the indicator basis."""
-    return _matrix_sum(rack, degree,
-                       [(i, (-1) ** i) for i in range(degree + 1)])
+    return _matrix(rack, degree, _alternating(degree))
 
 
 def cocycle_space(rack: Rack, degree: int) -> Subspace:
-    """Z^d: kernel of the degree-d coboundary matrix."""
-    return linalg.kernel_basis(coboundary_matrix(rack, degree))
+    """Z^d: kernel of the degree-d coboundary matrix, eliminated from its
+    distinct integer rows without forming the matrix."""
+    rows = _matrix_rows(rack, degree, _alternating(degree))
+    return linalg.row_kernel(rack.size ** (2 * degree),
+                             linalg.distinct_rows(rows.values()))
 
 
 def coboundary_space(rack: Rack, degree: int) -> Subspace:

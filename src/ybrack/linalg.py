@@ -10,7 +10,7 @@ pivot columns, so two subspaces are equal iff their bases are identical.
 Pivoting is deterministic: lowest column first, then lowest row.
 
 The same elimination runs over the prime field F_p on int entries; the
-kernel is computed mod P first and certified over Q (see kernel_basis).
+kernel is computed mod P first and certified over Q (see row_kernel).
 """
 
 from __future__ import annotations
@@ -187,15 +187,6 @@ class SparseMat:
     def sub(self, other: "SparseMat") -> "SparseMat":
         return self.add(other.scaled(-1))
 
-    def kron(self, other: "SparseMat") -> "SparseMat":
-        """Kronecker product: row (i, k) is i * other.rows + k, column
-        (j, l) is j * other.cols + l."""
-        return SparseMat(
-            self.rows * other.rows, self.cols * other.cols,
-            {(r1 * other.rows + r2, c1 * other.cols + c2): v1 * v2
-             for (r1, c1), v1 in self.entries.items()
-             for (r2, c2), v2 in other.entries.items()})
-
     def __eq__(self, other):
         if not isinstance(other, SparseMat):
             return NotImplemented
@@ -334,19 +325,48 @@ class Subspace:
 
 
 def kernel_basis(m: SparseMat) -> Subspace:
-    """Canonical basis of {v : m v = 0}.
+    """Canonical basis of {v : m v = 0}: row_kernel of the rows of m
+    times the lcm of m's denominators.  A denominator divisible by P goes
+    straight to elimination over Q."""
+    den = lcm(*{v.denominator for v in m.entries.values()})
+    rows = distinct_rows({c: v.numerator * (den // v.denominator)
+                          for c, v in r.items()} for r in m.row_vectors())
+    if den % P == 0:
+        return Subspace.from_vectors(m.cols, _rational_kernel(m.cols, rows))
+    return row_kernel(m.cols, rows)
+
+
+def distinct_rows(rows) -> list[dict[int, int]]:
+    """The nonzero rows among integer rows {col: int}, without repeats up
+    to sign, fewest nonzeros first; zero entries are dropped."""
+    unique: dict[tuple, None] = {}
+    for row in rows:
+        if 0 in row.values():
+            row = {c: a for c, a in row.items() if a}
+        if not row:
+            continue
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((c, -a) for c, a in key)
+        unique[key] = None
+    return [dict(key) for key in sorted(unique, key=len)]
+
+
+def row_kernel(cols: int, rows: list[dict[int, int]]) -> Subspace:
+    """Canonical basis of the vectors in Q^cols that every integer row
+    annihilates.
 
     The kernel is computed mod P and lifted by rational reconstruction,
     then certified over Q: every lifted vector is checked to satisfy
-    m v = 0 exactly, and the vectors are independent (the identity on the
-    free columns) and number cols - rank_P >= cols - rank_Q, so they span
-    the kernel.  A denominator divisible by P, a failed reconstruction or
-    a failed check falls back to elimination over Q.
+    row . v = 0 exactly, and the vectors are independent (the identity on
+    the free columns) and number cols - rank_P >= cols - rank_Q, so they
+    span the kernel.  A failed reconstruction or a failed check falls
+    back to elimination over Q of the same rows.
     """
-    basis = _modular_kernel(m)
+    basis = _modular_kernel(cols, rows)
     if basis is None:
-        basis = _rational_kernel(m)
-    return Subspace.from_vectors(m.cols, basis)
+        basis = _rational_kernel(cols, rows)
+    return Subspace.from_vectors(cols, basis)
 
 
 def _free_entries(cols: int, rows: list[Vec], pivots: list[int]):
@@ -362,39 +382,17 @@ def _free_entries(cols: int, rows: list[Vec], pivots: list[int]):
     return out
 
 
-def _rational_kernel(m: SparseMat) -> list[Vec]:
-    """A kernel basis of m by elimination over Q."""
-    ref_rows, piv_cols = rref(r for r in m.row_vectors() if r)
+def _rational_kernel(cols: int, rows: list[dict[int, int]]) -> list[Vec]:
+    """A kernel basis of the integer rows by elimination over Q."""
+    ref_rows, piv_cols = rref({c: Fraction(a) for c, a in r.items()}
+                              for r in rows)
     basis = []
-    for f, entries in _free_entries(m.cols, ref_rows, piv_cols).items():
+    for f, entries in _free_entries(cols, ref_rows, piv_cols).items():
         v: Vec = {f: ONE}
         for pc, a in entries.items():
             v[pc] = -a
         basis.append(v)
     return basis
-
-
-def _integer_rows(m: SparseMat) -> list[dict[int, int]] | None:
-    """The nonzero rows of m times the lcm of m's denominators, without
-    repeats up to sign, fewest nonzeros first.  None when a denominator
-    is divisible by P."""
-    den = lcm(*{v.denominator for v in m.entries.values()})
-    if den % P == 0:
-        return None
-    grouped: dict[int, dict[int, int]] = {}
-    for (r, c), v in m.entries.items():
-        a, d = v.as_integer_ratio()
-        row = grouped.get(r)
-        if row is None:
-            row = grouped[r] = {}
-        row[c] = a * (den // d)
-    unique: dict[tuple, None] = {}
-    for row in grouped.values():
-        key = tuple(sorted(row.items()))
-        if key[0][1] < 0:
-            key = tuple((c, -a) for c, a in key)
-        unique[key] = None
-    return [dict(key) for key in sorted(unique, key=len)]
 
 
 def _lift(x: int) -> Fraction | None:
@@ -410,17 +408,14 @@ def _lift(x: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _modular_kernel(m: SparseMat) -> list[Vec] | None:
-    """A kernel basis of m by elimination mod P, lifted and checked
-    exactly; None when that fails."""
-    rows = _integer_rows(m)
-    if rows is None:
-        return None
+def _modular_kernel(cols: int, rows: list[dict[int, int]]) -> list[Vec] | None:
+    """A kernel basis of the integer rows by elimination mod P, lifted and
+    checked exactly; None when that fails."""
     ref_rows, piv_cols = rref(({c: a % P for c, a in r.items() if a % P}
                                for r in rows), P)
     lifts: dict[int, Fraction | None] = {}
     basis = []
-    for f, entries in _free_entries(m.cols, ref_rows, piv_cols).items():
+    for f, entries in _free_entries(cols, ref_rows, piv_cols).items():
         v: Vec = {f: ONE}
         for pc, a in entries.items():
             if a not in lifts:

@@ -165,9 +165,6 @@ class Rack:
     def rho(self, y: int) -> Perm:
         return _rho(self, y)
 
-    def rho_inv(self, y: int) -> Perm:
-        return _rho_inv(self, y)
-
     def to_json(self) -> dict:
         return {"size": self.size, "table": [list(r) for r in self.table]}
 
@@ -175,11 +172,6 @@ class Rack:
 @functools.lru_cache(maxsize=None)
 def _rho(rack: Rack, y: int) -> Perm:
     return Perm(tuple(rack.table[x][y] for x in range(rack.size)))
-
-
-@functools.lru_cache(maxsize=None)
-def _rho_inv(rack: Rack, y: int) -> Perm:
-    return _rho(rack, y).inverse()
 
 
 def validate_rack(table, quandle_required: bool = False) -> Rack:

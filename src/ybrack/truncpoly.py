@@ -280,9 +280,12 @@ class PolyMat:
         """Kronecker product; basis index of (i, j) is i*other.dim + j."""
         if self.order != other.order:
             raise ValueError("mixed truncation orders")
-        d = self.dim * other.dim
+        d, e = self.dim * other.dim, other.dim
         return PolyMat(d, self.order, _convolve(
-            self.parts, other.parts, SparseMat.kron, SparseMat(d, d)))
+            self.parts, other.parts, lambda a, b: SparseMat(d, d, {
+                (r1 * e + r2, c1 * e + c2): v1 * v2
+                for (r1, c1), v1 in a.entries.items()
+                for (r2, c2), v2 in b.entries.items()}), SparseMat(d, d)))
 
     def trace(self) -> TruncPoly:
         return TruncPoly(self.order, tuple(

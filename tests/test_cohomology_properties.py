@@ -7,13 +7,16 @@ construction, so they reach beyond the hand-picked corpus.
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from test_cohomology import naive_partial_coboundary
+from ybrack import linalg
 from ybrack.cohomology import (Cochain, coboundary, coboundary_i,
-                               coboundary_matrix, entropic_basis,
-                               is_entropic, partial_coboundary_matrix)
+                               coboundary_matrix, cocycle_space,
+                               entropic_basis, is_entropic,
+                               partial_coboundary_matrix)
 from ybrack.racks import validate_rack
 
 PROPS = settings(max_examples=50)
@@ -23,8 +26,8 @@ degrees = st.sampled_from([1, 2])
 
 
 @st.composite
-def racks(draw):
-    n = draw(st.integers(1, 4))
+def racks(draw, max_size=4):
+    n = draw(st.integers(1, max_size))
     if draw(st.booleans()):
         t = draw(st.sampled_from([t for t in range(n) if gcd(t, n) == 1]))
         table = [[(t * x + (1 - t) * y) % n for y in range(n)]
@@ -89,3 +92,50 @@ def test_coboundary_i_matches_naive_oracle(rf):
 def test_entropic_basis_cochains_are_entropic(rack, degree):
     assert all(is_entropic(rack, c)
                for c in entropic_basis(rack, degree).cochains())
+
+
+def naive_coboundary(rack, f):
+    """The alternating sum of the naive partial coboundaries."""
+    total = Cochain(rack.size, f.degree + 1)
+    for i in range(f.degree + 1):
+        total = total.add(naive_partial_coboundary(rack, f, i)
+                          .scaled((-1) ** i))
+    return total
+
+
+def up_to_sign(row):
+    """An integer row as sorted (col, value) pairs, leading value > 0."""
+    key = sorted(row.items())
+    if key[0][1] < 0:
+        key = [(c, -a) for c, a in key]
+    return tuple(key)
+
+
+@settings(max_examples=30)
+@given(racks(max_size=3), degrees, st.data())
+def test_coboundary_matrix_and_eliminated_rows_match_naive_oracle(
+        rack, degree, data):
+    n = rack.size
+    m = coboundary_matrix(rack, degree)
+    cols = m.col_vectors()
+    # the naive oracle visits every output index pair, so a few columns
+    js = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1,
+                            max_size=6, unique=True))
+    for j in js:
+        indicator = Cochain.from_vector(n, degree, {j: Fraction(1)})
+        assert cols[j] == naive_coboundary(rack, indicator).to_vector()
+
+    seen = []
+    row_kernel = linalg.row_kernel
+
+    def spy(ncols, rows):
+        seen.append(rows)
+        return row_kernel(ncols, rows)
+
+    with mock.patch.object(linalg, "row_kernel", spy):
+        cocycle_space(rack, degree)
+    [rows] = seen
+    assert all(v.denominator == 1 for v in m.entries.values())
+    want = {up_to_sign({c: int(v) for c, v in r.items()})
+            for r in m.row_vectors() if r}
+    assert sorted(map(up_to_sign, rows)) == sorted(want)

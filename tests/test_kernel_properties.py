@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from test_cohomology_properties import racks
 from ybrack import linalg
-from ybrack.cohomology import coboundary_matrix
+from ybrack.cohomology import coboundary_matrix, cocycle_space
 from ybrack.linalg import P, SparseMat, Subspace, kernel_basis, rref
+from ybrack.racks import dihedral_rack
 
 F = Fraction
 
@@ -44,7 +45,9 @@ def rational_matrices(draw):
 @given(racks(), st.sampled_from([1, 2]))
 def test_coboundary_kernel_matches_oracle_without_fallback(rack, degree):
     m = coboundary_matrix(rack, degree)
-    assert linalg._modular_kernel(m) is not None
+    rows = linalg.distinct_rows({c: int(v) for c, v in r.items()}
+                                for r in m.row_vectors())
+    assert linalg._modular_kernel(m.cols, rows) is not None
     assert kernel_basis(m) == oracle_kernel(m)
 
 
@@ -70,14 +73,30 @@ def test_fallback_matches_oracle(dense, monkeypatch):
     calls = []
     rational = linalg._rational_kernel
 
-    def counted(m):
-        calls.append(m)
-        return rational(m)
+    def counted(*args):
+        calls.append(args)
+        return rational(*args)
 
     monkeypatch.setattr(linalg, "_rational_kernel", counted)
     m = SparseMat.from_dense(dense)
     assert kernel_basis(m) == oracle_kernel(m)
     assert len(calls) == 1
+
+
+def test_fallback_on_a_coboundary_matrix(monkeypatch):
+    # no lift succeeds, so the Fraction elimination of the distinct
+    # integer rows gives the kernel, for kernel_basis and cocycle_space
+    calls = []
+    rational = linalg._rational_kernel
+    monkeypatch.setattr(linalg, "_lift", lambda x: None)
+    monkeypatch.setattr(linalg, "_rational_kernel",
+                        lambda *args: calls.append(args) or rational(*args))
+    rack = dihedral_rack(4)
+    m = coboundary_matrix(rack, 2)
+    want = oracle_kernel(m)
+    assert kernel_basis(m) == want
+    assert cocycle_space(rack, 2) == want
+    assert len(calls) == 2
 
 
 def test_lift_reconstructs_small_fractions_only():

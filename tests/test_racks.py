@@ -168,18 +168,6 @@ def test_behavioral_classes_preserved_by_inner_action():
                         assert ids[alpha(x)] == ids[alpha(y)]
 
 
-def test_rho_inv_is_the_cached_inverse():
-    from ybrack.racks import _rho_inv
-    rack = square_reflection_quandle()
-    _rho_inv.cache_clear()
-    for y in range(rack.size):
-        assert rack.rho_inv(y) * rack.rho(y) == Perm.identity(rack.size)
-        assert rack.rho_inv(y) is rack.rho_inv(y)
-    assert _rho_inv.cache_info().misses == rack.size
-    _rho_inv.cache_clear()
-    assert _rho_inv.cache_info().currsize == 0
-
-
 def test_right_translations_are_rack_automorphisms():
     for rack in [dihedral_rack(4), tetrahedral_quandle(),
                  square_reflection_quandle()]:
