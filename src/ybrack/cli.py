@@ -76,8 +76,6 @@ def provenance(rack: Rack) -> dict:
 def cmd_validate(args) -> int:
     try:
         rack = load_rack(args.rack)
-    except RackSpecError:
-        raise
     except RackError as exc:
         witness = f" (witness: {exc.witness})" if exc.witness is not None else ""
         print(f"invalid rack: {exc}{witness}", file=sys.stderr)

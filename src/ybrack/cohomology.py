@@ -354,14 +354,13 @@ def entropic_basis(rack: Rack, degree: int) -> EntropicBasis:
     return EntropicBasis(rack.size, degree, tuple(orbits))
 
 
-def symmetrize(rack: Rack, f: Cochain, group=None) -> Cochain:
+def symmetrize(rack: Rack, f: Cochain) -> Cochain:
     """Average of the diagonal inner-automorphism translates of f.
 
     (alpha f)<x -> y> = f<x^alpha -> y^alpha>, averaged over the full
     inner automorphism group.
     """
-    if group is None:
-        group = inner_group(rack)
+    group = inner_group(rack)
     n = rack.size
     d = f.degree
     acc: dict[tuple[int, int], Fraction] = {}

@@ -233,9 +233,9 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     """Conjugate a Yang-Baxter deformation of c_Q into entropic form.
 
     Walks the h-degrees 1..N-1: the degree-k term of the deformation is
-    split as entropic + coboundary by solving the echelonized linear
-    system against the orbit indicators and the degree-1 coboundary
-    matrix, and the coboundary part is removed by conjugating with
+    split as entropic + coboundary by reducing it against the system of
+    the orbit indicators and the degree-1 coboundary matrix, echelonized
+    once per call, and the coboundary part is removed by conjugating with
     I + h^k g.  A zero g means the degree is already entropic: the
     independent indicator columns come first, so all are pivots, and
     E^2 meets B^2 only in 0.  Lower degrees are never disturbed.
@@ -266,7 +266,7 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
             entries[(i, j)] = v
     for (i, j), v in d1.entries.items():
         entries[(i, len(ind_vectors) + j)] = v
-    system = SparseMat(n ** 4, ncols, entries)
+    split = linalg.solver(SparseMat(n ** 4, ncols, entries))
 
     back = {i: j for i, j in cq.mat.constant.entries}
     alpha = PolyMat.identity(n, order)
@@ -276,7 +276,7 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     f = _deformation_term(current, back)
     for k in range(1, order):
         e_k = Cochain(n, 2, f.coefficient_matrix(k).entries)
-        solution = linalg.solve(system, e_k.to_vector())
+        solution = split(e_k.to_vector())
         if solution is None:
             raise DecompositionError(
                 f"degree-{k} term is not entropic + coboundary")

@@ -98,10 +98,6 @@ class SparseMat:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def transpose(self) -> "SparseMat":
-        return SparseMat(self.cols, self.rows,
-                         {(c, r): v for (r, c), v in self.entries.items()})
-
     def row_vectors(self) -> list[Vec]:
         out: list[Vec] = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -252,26 +248,6 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
             r = axpy(r, -r[c], pivots[c])
         pivots[pc] = r
     return [pivots[c] for c in piv_cols], piv_cols
-
-
-def invert_rational(m: SparseMat) -> SparseMat:
-    """Exact inverse of a rational square matrix via echelon reduction."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices can be inverted")
-    n = m.rows
-    aug = []
-    for i, row in enumerate(m.row_vectors()):
-        row[n + i] = ONE
-        aug.append(row)
-    red, piv = rref(aug)
-    if piv[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    entries = {}
-    for i, row in enumerate(red):
-        for c, v in row.items():
-            if c >= n:
-                entries[(i, c - n)] = v
-    return SparseMat(n, n, entries)
 
 
 @dataclass(frozen=True)
@@ -470,28 +446,34 @@ def sum_and_intersection_dims(a: Subspace, b: Subspace) -> tuple[int, int]:
     return dim_sum, a.dim + b.dim - dim_sum
 
 
-def solve(m: SparseMat, b: Vec) -> Vec | None:
-    """One solution of m x = b (free variables set to zero), or None.
+def solver(m: SparseMat):
+    """Echelonize m once; the returned function maps b to the solution of
+    m x = b with free variables zero, or to None.  Column j is tagged with
+    coordinate top - j past m.rows; in that reverse order a tag is a pivot
+    exactly when its column depends on earlier columns, so the residual of
+    b is zero at the free variables and -x on the other tags, and an
+    entry left below m.rows means b is outside the column space."""
+    top = m.rows + m.cols - 1
+    cols = m.col_vectors()
+    for j, col in enumerate(cols):
+        col[top - j] = ONE
+    span = Subspace.from_vectors(top + 1, cols)
 
-    Deterministic: the echelon pivot rule fixes which solution is returned.
-    """
-    rows = m.row_vectors()
-    aug_col = m.cols
-    aug_rows = []
-    for i, r in enumerate(rows):
-        r = dict(r)
-        bi = b.get(i, ZERO)
-        if bi:
-            r[aug_col] = bi
-        if r:
-            aug_rows.append(r)
-    ref_rows, piv_cols = rref(aug_rows)
-    if aug_col in piv_cols:
-        return None  # inconsistent system
-    x: Vec = {}
-    for pc, row in zip(piv_cols, ref_rows):
-        val = row.get(aug_col, ZERO)
-        # reduced form: row has 1 at pc, entries only at free columns and aug
-        if val:
-            x[pc] = val
-    return x
+    def solve(b: Vec) -> Vec | None:
+        r = span.reduce(b)
+        if any(i < m.rows for i in r):
+            return None
+        return {top - i: -v for i, v in r.items()}
+    return solve
+
+
+def invert_rational(m: SparseMat) -> SparseMat:
+    """Exact inverse of a rational square matrix, one column per e_i."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices can be inverted")
+    solve = solver(m)
+    cols = [solve({i: ONE}) for i in range(m.rows)]
+    if any(x is None for x in cols):
+        raise ZeroDivisionError("matrix is singular")
+    return SparseMat(m.rows, m.cols, {(r, c): v for c, x in enumerate(cols)
+                                      for r, v in x.items()})

@@ -16,6 +16,8 @@ import functools
 import re
 from dataclasses import dataclass
 
+from .linalg import DEFAULT_ENTRY_LIMIT, SizeOverflow
+
 
 class RackError(ValueError):
     """Rack axiom violation; may carry a witnessing element or triple."""
@@ -63,9 +65,6 @@ class Perm:
         for x, y in enumerate(self.images):
             inv[y] = x
         return Perm(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
 
     @staticmethod
     def from_cycles(cycles: list[list[int]], degree: int) -> "Perm":
@@ -174,14 +173,24 @@ def _rho(rack: Rack, y: int) -> Perm:
     return Perm(tuple(rack.table[x][y] for x in range(rack.size)))
 
 
+def _checked_size(n) -> int:
+    """int(n); SizeOverflow when n^3 axiom checks exceed the entry limit."""
+    n = int(n)
+    if n ** 3 > DEFAULT_ENTRY_LIMIT:
+        raise SizeOverflow(f"size {n} cubed exceeds the entry limit "
+                           f"{DEFAULT_ENTRY_LIMIT}")
+    return n
+
+
 def validate_rack(table, quandle_required: bool = False) -> Rack:
     """Check the rack axioms and return the validated Rack.
 
-    Raises RackError with a witness on the first violation found:
-    a non-bijective right translation, a self-distributivity triple,
-    or a non-idempotent element when a quandle is required.
+    Raises SizeOverflow for a table over _checked_size, then RackError
+    with a witness on the first violation found: a non-bijective right
+    translation, a self-distributivity triple, or a non-idempotent
+    element when a quandle is required.
     """
-    n = len(table)
+    n = _checked_size(len(table))
     if n == 0:
         raise RackError("empty rack is not supported")
     rows = []
@@ -213,13 +222,10 @@ def validate_rack(table, quandle_required: bool = False) -> Rack:
     return Rack(n, tab, is_quandle)
 
 
-def conjugation_quandle(group_elements: list[Perm], subset: list[int]) -> Rack:
-    """Quandle on a conjugation-closed subset, x*y = y^-1 x y.
-
-    group_elements supplies the permutations; subset picks indices into
-    that list.  The subset must be closed under mutual conjugation.
+def conjugation_quandle(elems: list[Perm]) -> Rack:
+    """Quandle on a conjugation-closed list of permutations,
+    x*y = y^-1 x y.  The list must be closed under mutual conjugation.
     """
-    elems = [group_elements[i] for i in subset]
     index = {p: i for i, p in enumerate(elems)}
     if len(index) != len(elems):
         raise RackError("duplicate elements in conjugation subset")
@@ -300,7 +306,7 @@ def transposition_quandle(k: int) -> Rack:
     """Conjugation quandle of all transpositions in the symmetric group."""
     group = symmetric_group(k)
     perms = conjugacy_class(parse_perm("(12)", k), group)
-    return conjugation_quandle(perms, list(range(len(perms))))
+    return conjugation_quandle(perms)
 
 
 def square_reflection_quandle() -> Rack:
@@ -308,7 +314,7 @@ def square_reflection_quandle() -> Rack:
     ordered (13), (24), (12)(34), (14)(23)."""
     perms = [parse_perm(s, 4)
              for s in ["(13)", "(24)", "(12)(34)", "(14)(23)"]]
-    return conjugation_quandle(perms, [0, 1, 2, 3])
+    return conjugation_quandle(perms)
 
 
 def tetrahedral_quandle() -> Rack:
@@ -316,7 +322,7 @@ def tetrahedral_quandle() -> Rack:
     (one conjugacy class of 3-cycles), sorted by image tuple."""
     even = [p for p in symmetric_group(4) if _sign(p) == 1]
     cls = conjugacy_class(parse_perm("(123)", 4), even)
-    return conjugation_quandle(cls, list(range(len(cls))))
+    return conjugation_quandle(cls)
 
 
 def _sign(p: Perm) -> int:
@@ -345,21 +351,21 @@ def rack_from_name(name: str) -> Rack:
     parts = name.split(":")
     kind = parts[0]
     if kind == "trivial" and len(parts) == 2:
-        return trivial_rack(int(parts[1]))
+        return trivial_rack(_checked_size(parts[1]))
     if kind == "dihedral" and len(parts) == 2:
-        return dihedral_rack(int(parts[1]))
+        return dihedral_rack(_checked_size(parts[1]))
     if kind == "conj" and len(parts) == 3:
         m = re.fullmatch(r"[SA](\d+)", parts[1])
         if not m:
             raise RackSpecError(f"unknown group {parts[1]!r} in {name!r}")
-        k = int(m.group(1))
+        k = _checked_size(m.group(1))
         perm_texts = re.findall(r"(?:\([^()]*\))+", parts[2])
         if not perm_texts:
             raise RackSpecError(f"no permutations given in {name!r}")
         perms = [parse_perm(t, k) for t in perm_texts]
         if parts[1][0] == "A" and any(_sign(p) != 1 for p in perms):
             raise RackSpecError("odd permutation in alternating-group subset")
-        return conjugation_quandle(perms, list(range(len(perms))))
+        return conjugation_quandle(perms)
     raise RackSpecError(f"unknown rack name {name!r}")
 
 

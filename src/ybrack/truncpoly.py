@@ -51,14 +51,6 @@ class TruncPoly:
         return TruncPoly.const(1, order)
 
     @staticmethod
-    def h_power(k: int, order: int, value=1) -> "TruncPoly":
-        """value * h^k, zero when k >= order."""
-        c = [ZERO] * order
-        if k < order:
-            c[k] = Fraction(value)
-        return TruncPoly(order, tuple(c))
-
-    @staticmethod
     def from_coeffs(values, order: int | None = None) -> "TruncPoly":
         vals = [Fraction(v) for v in values]
         if order is None:
@@ -188,10 +180,6 @@ class PolyMat:
     @staticmethod
     def identity(dim: int, order: int) -> "PolyMat":
         return PolyMat.from_rational(SparseMat.identity(dim), order)
-
-    @staticmethod
-    def zero(dim: int, order: int) -> "PolyMat":
-        return PolyMat(dim, order)
 
     @staticmethod
     def from_entries(dim: int, order: int, entries) -> "PolyMat":

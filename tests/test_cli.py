@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,7 +211,8 @@ def test_normalize_input_failing_ybe_is_math_failure(tmp_path, capsys):
     from ybrack.truncpoly import PolyMat, TruncPoly
     from ybrack.yangbaxter import build_cq
     mat = build_cq(dihedral_rack(3), 2).mat.add(
-        PolyMat.from_entries(9, 2, [(0, 4, TruncPoly.h_power(1, 2))]))
+        PolyMat.from_entries(9, 2,
+                             [(0, 4, TruncPoly.from_coeffs([0, 1], 2))]))
     path = tmp_path / "op.json"
     path.write_text(json.dumps({"matrix": mat.to_json()}))
     code, out, err = run(capsys, "normalize", "--rack", "dihedral:3",
@@ -225,8 +229,20 @@ def test_normalize_input_failing_ybe_is_math_failure(tmp_path, capsys):
     ["braid", "--rack", "trivial:2", "--word", "1", "--strands", "23"],
     # 4^12 quasi-diagonal index pairs of 12 slots
     ["entropic-basis", "--rack", "trivial:2", "--degree", "12"],
-], ids=["braid", "braid-slots", "entropic-basis"])
-def test_oversized_requests_refused_before_allocating(argv, capsys):
+    # racks of size (or permutation degree) n >= 216: n^3 axiom checks
+    ["check", "--rack", "dihedral:1000"],
+    ["validate", "dihedral:216"],
+    ["validate", "trivial:100000"],
+    ["validate", "conj:S216:(12)"],
+    ["validate", "table216.json"],
+], ids=["braid", "braid-slots", "entropic-basis", "dihedral-1000",
+        "dihedral-216", "trivial-100000", "conj-S216", "json-table-216"])
+def test_oversized_requests_refused_before_allocating(argv, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if "table216.json" in argv:
+        (tmp_path / "table216.json").write_text(json.dumps(
+            {"table": [[x] * 216 for x in range(216)]}))
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -312,3 +328,23 @@ def test_huge_deform_trunc_refused_before_allocating(capsys):
                          "--rack", "dihedral:3", "--lambda", '["1"]')
     assert code == 2 and out == ""
     assert "entry limit" in err and err.count("\n") == 1
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every yb line of the README's sh blocks exits 0.  The deform
+    example runs under --format json and writes the op.json that the
+    normalize example reads."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [shlex.split(line, comments=True)
+             for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["yb"]]
+    assert any("deform" in argv for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "deform" in argv:
+            code, out, _ = run(capsys, "--format", "json", *argv)
+            (tmp_path / "op.json").write_text(out)
+        else:
+            code, _, _ = run(capsys, *argv)
+        assert code == 0, argv

@@ -206,7 +206,7 @@ def test_rmatrix_requires_entropic():
 def test_rmatrix_requires_invertible():
     rack = dihedral_rack(3)
     with pytest.raises(NotInvertibleError):
-        rmatrix_equivalence(rack, PolyMat.zero(9, 1))
+        rmatrix_equivalence(rack, PolyMat(9, 1))
 
 
 def test_rmatrix_verdicts_agree_on_entropic_samples():

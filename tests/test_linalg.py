@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ybrack.linalg import (DimensionMismatch, SparseMat, Subspace,
                            image_basis, kernel_basis, rank, rref,
-                           solve, sum_and_intersection_dims, vec_axpy)
+                           solver, sum_and_intersection_dims, vec_axpy)
 
 F = Fraction
 
@@ -182,26 +182,84 @@ def test_rank_modular_cross_check_coboundary_matrices():
 
 def test_solve_consistent_and_inconsistent():
     m = SparseMat.from_dense([[1, 2], [2, 4]])
-    x = solve(m, {0: F(3), 1: F(6)})
+    x = solver(m)({0: F(3), 1: F(6)})
     assert x is not None
     assert m.apply(x) == {0: F(3), 1: F(6)}
-    assert solve(m, {0: F(3), 1: F(7)}) is None
+    assert solver(m)({0: F(3), 1: F(7)}) is None
 
 
 def test_solve_deterministic_free_vars_zero():
     m = SparseMat.from_dense([[1, 1, 0]])
-    x = solve(m, {0: F(5)})
+    x = solver(m)({0: F(5)})
     assert x == {0: F(5)}  # free columns stay zero
 
 
-def test_matmul_apply_transpose():
+def _augmented_solve(m, b):
+    """Oracle: the solution of m x = b read off the reduced echelon form
+    of the augmented rows [m | b], free variables zero; None when the
+    augmented column is a pivot."""
+    aug = m.cols
+    rows = []
+    for i, r in enumerate(m.row_vectors()):
+        if b.get(i):
+            r[aug] = b[i]
+        if r:
+            rows.append(r)
+    ref_rows, piv = rref(rows)
+    if aug in piv:
+        return None
+    return {pc: row[aug] for pc, row in zip(piv, ref_rows) if aug in row}
+
+
+@st.composite
+def linear_systems(draw):
+    """(m, b): each column of m is random, or planted as zero, as a
+    repeat of an earlier column or as a multiple of one; b is m x, or a
+    random vector, often outside the column space."""
+    n_rows = draw(st.integers(1, 6))
+    values = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+    def nonzero(vec):
+        return {i: v for i, v in vec.items() if v}
+
+    vector = st.dictionaries(st.integers(0, n_rows - 1), values,
+                             max_size=n_rows).map(nonzero)
+    cols = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "scaled"])
+                    if cols else st.just("random"))
+        if kind == "random":
+            col = draw(vector)
+        elif kind == "zero":
+            col = {}
+        else:
+            col = cols[draw(st.integers(0, len(cols) - 1))]
+            if kind == "scaled":
+                s = draw(values.filter(bool))
+                col = {i: s * v for i, v in col.items()}
+        cols.append(col)
+    m = SparseMat(n_rows, len(cols), {(i, j): v for j, col in enumerate(cols)
+                                      for i, v in col.items()})
+    if draw(st.booleans()):
+        x = draw(st.dictionaries(st.integers(0, len(cols) - 1), values))
+        return m, m.apply(nonzero(x))
+    return m, draw(vector)
+
+
+@settings(max_examples=300)
+@given(linear_systems())
+def test_solver_matches_augmented_elimination(system):
+    m, b = system
+    assert solver(m)(b) == _augmented_solve(m, b)
+
+
+def test_matmul_apply():
     rng = random.Random(5)
     a = _random_matrix(rng, 4, 3, 6)
     b = _random_matrix(rng, 3, 5, 6)
     ab = a.matmul(b)
     v = {0: F(1), 3: F(2)}
     assert ab.apply(v) == a.apply(b.apply(v))
-    assert ab.transpose().transpose() == ab
 
 
 def test_entry_bounds_and_zero_rejection():

@@ -154,7 +154,7 @@ def _dihedral3_broken(trunc):
     breaks the braid relation."""
     op = entropic_operator(dihedral_rack(3), random.Random(3), trunc)
     mat = op.mat.add(PolyMat.from_entries(
-        9, trunc, [(4, 7, TruncPoly.h_power(1, trunc, F(2, 5)))]))
+        9, trunc, [(4, 7, TruncPoly.from_coeffs([0, F(2, 5)], trunc))]))
     return YBOperator(3, mat)
 
 
