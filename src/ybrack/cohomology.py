@@ -16,9 +16,11 @@ operators d_i.  In index form, each d_i f has two terms on (d+1)-tuples
 
 Every coboundary is assembled row by row from per-partial index tables:
 each cell (u -> v) sends its 2n terms through d_i by list lookups, and
-the terms are summed as ints into {row: {col: int}}.  The same row sums
-give the cochain coboundary (over the common denominator of the
-cochain), coboundary_matrix (one Fraction per distinct value), and
+the terms are summed as ints into flat rows (col, int, col, int, ...).
+The cells come in increasing column, so each row comes out sorted by
+column with its zeros dropped, and needs no sort afterwards.  The same
+row sums give the cochain coboundary (over the common denominator of
+the cochain), coboundary_matrix (one Fraction per distinct value), and
 cocycle_space, which hands the distinct nonzero rows, up to sign,
 straight to the certified modular kernel without forming the matrix.
 
@@ -141,10 +143,15 @@ def _partial_tables(rack: Rack, degree: int, i: int) -> tuple:
 def _row_sums(rack: Rack, degree: int, partials, cells) -> dict:
     """Sum of sign * d_i over the (i, sign) in partials, applied to each
     cell (encode(u), encode(v), col, value) of degree-d indicators, value
-    times (u -> v); values are ints.
+    times (u -> v); values are ints, and the cells come in nondecreasing
+    col.
 
-    Returns {row: {col: total}} with row = encode(x) * n^(d+1) + encode(y),
-    the index of Cochain.to_vector; totals may be zero.
+    Returns {row: (col, total, col, total, ...)} with
+    row = encode(x) * n^(d+1) + encode(y), the index of Cochain.to_vector.
+    Each row is a flat tuple in increasing col with no zero total, empty
+    when all its terms cancel.  Because the cols arrive in order, a term
+    in the row's last col merges into that pair, which is dropped when
+    it sums to zero, and any other term is appended.
     """
     n = rack.size
     N = n ** (degree + 1)
@@ -164,10 +171,13 @@ def _row_sums(rack: Rack, degree: int, partials, cells) -> dict:
             for terms, w in ((pos, v), (neg, -v)):
                 for r in terms:
                     row = get(r)
-                    if row is None:
-                        rows[r] = {col: w}
+                    if not row:
+                        rows[r] = (col, w)
+                    elif row[-2] != col:
+                        rows[r] = row + (col, w)
                     else:
-                        row[col] = row.get(col, 0) + w
+                        s = row[-1] + w
+                        rows[r] = row[:-1] + (s,) if s else row[:-2]
     return rows
 
 
@@ -184,7 +194,7 @@ def _cochain_sum(rack: Rack, f: Cochain, partials) -> Cochain:
         (xc, yc, 0, v.numerator * (den // v.denominator))
         for (yc, xc), v in f.entries.items()))
     return Cochain.from_vector(rack.size, f.degree + 1, {
-        r: Fraction(row[0], den) for r, row in sums.items() if row[0]})
+        r: Fraction(row[1], den) for r, row in sums.items() if row})
 
 
 def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
@@ -200,9 +210,10 @@ def coboundary(rack: Rack, f: Cochain) -> Cochain:
 
 
 def _matrix_rows(rack: Rack, degree: int, partials) -> dict:
-    """Rows {row: {col: int}} of the signed sum of partials on the
-    indicator cochains, column j the indicator of index j of
-    Cochain.to_vector; raises before assembling anything too large."""
+    """Rows {row: (col, int, ...)} of the signed sum of partials on the
+    indicator cochains, as _row_sums gives them, column j the indicator
+    of index j of Cochain.to_vector; raises before assembling anything
+    too large."""
     n = rack.size
     if degree not in (1, 2, 3):
         raise ValueError("coboundary matrices support degrees 1..3")
@@ -219,11 +230,11 @@ def _matrix_rows(rack: Rack, degree: int, partials) -> dict:
 def _matrix(rack: Rack, degree: int, partials) -> SparseMat:
     """_matrix_rows as a SparseMat, one Fraction per distinct value."""
     rows = _matrix_rows(rack, degree, partials)
-    fracs = {t: Fraction(t) for row in rows.values() for t in row.values()}
+    fracs = {t: Fraction(t) for row in rows.values() for t in row[1::2]}
     n = rack.size
     return SparseMat(n ** (2 * degree + 2), n ** (2 * degree), {
         (r, c): fracs[t] for r, row in rows.items()
-        for c, t in row.items() if t})
+        for c, t in zip(row[::2], row[1::2])})
 
 
 def partial_coboundary_matrix(rack: Rack, degree: int, i: int) -> SparseMat:
@@ -243,8 +254,9 @@ def cocycle_space(rack: Rack, degree: int) -> Subspace:
     """Z^d: kernel of the degree-d coboundary matrix, eliminated from its
     distinct integer rows without forming the matrix."""
     rows = _matrix_rows(rack, degree, _alternating(degree))
-    return linalg.row_kernel(rack.size ** (2 * degree),
-                             linalg.distinct_rows(rows.values()))
+    distinct = linalg.distinct_rows(rows.values())
+    del rows  # the largest object here; free it before elimination
+    return linalg.row_kernel(rack.size ** (2 * degree), distinct)
 
 
 def coboundary_space(rack: Rack, degree: int) -> Subspace:

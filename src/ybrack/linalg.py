@@ -16,6 +16,7 @@ kernel is computed mod P first and certified over Q (see row_kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -274,13 +275,19 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivot_rows(self) -> dict[int, Vec]:
+        return dict(zip(self.pivots, self.basis))
+
     def reduce(self, v: Vec) -> Vec:
-        """Residual of v after elimination against the basis."""
+        """Residual of v after elimination against the basis.  The basis
+        is fully reduced, so each row leaves the other pivot columns
+        alone: only the pivots that v holds take part, each with v's own
+        coefficient, in increasing pivot order."""
+        rows = self._pivot_rows
         r = dict(v)
-        for pc, row in zip(self.pivots, self.basis):
-            coeff = r.get(pc)
-            if coeff:
-                r = vec_axpy(r, -coeff, row)
+        for pc in sorted(v.keys() & rows.keys()):
+            r = vec_axpy(r, -v[pc], rows[pc])
         return r
 
     def contains_vec(self, v: Vec) -> bool:
@@ -305,27 +312,31 @@ def kernel_basis(m: SparseMat) -> Subspace:
     times the lcm of m's denominators.  A denominator divisible by P goes
     straight to elimination over Q."""
     den = lcm(*{v.denominator for v in m.entries.values()})
-    rows = distinct_rows({c: v.numerator * (den // v.denominator)
-                          for c, v in r.items()} for r in m.row_vectors())
+    rows = distinct_rows(
+        tuple(x for c, v in sorted(r.items())
+              for x in (c, v.numerator * (den // v.denominator)))
+        for r in m.row_vectors())
     if den % P == 0:
         return Subspace.from_vectors(m.cols, _rational_kernel(m.cols, rows))
     return row_kernel(m.cols, rows)
 
 
 def distinct_rows(rows) -> list[dict[int, int]]:
-    """The nonzero rows among integer rows {col: int}, without repeats up
-    to sign, fewest nonzeros first; zero entries are dropped."""
+    """The nonempty rows among integer rows (col, value, col, value, ...),
+    each in increasing col with no zero value, as {col: int} without
+    repeats up to sign, fewest nonzeros first, each kept in the sign
+    with a positive first value."""
     unique: dict[tuple, None] = {}
     for row in rows:
-        if 0 in row.values():
-            row = {c: a for c, a in row.items() if a}
         if not row:
             continue
-        key = tuple(sorted(row.items()))
-        if key[0][1] < 0:
-            key = tuple((c, -a) for c, a in key)
-        unique[key] = None
-    return [dict(key) for key in sorted(unique, key=len)]
+        if row[1] < 0:
+            flip = list(row)
+            flip[1::2] = [-a for a in row[1::2]]
+            row = tuple(flip)
+        unique[row] = None
+    return [dict(zip(key[::2], key[1::2]))
+            for key in sorted(unique, key=len)]
 
 
 def row_kernel(cols: int, rows: list[dict[int, int]]) -> Subspace:

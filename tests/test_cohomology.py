@@ -202,6 +202,11 @@ def test_cocycle_and_coboundary_space_examples():
     d4 = square_reflection_quandle()
     assert cocycle_space(d4, 2).dim - coboundary_space(d4, 2).dim == 16
     assert coboundary_space(r3, 1).dim == 0
+    # degree 3 has the longest rows, so it covers merged terms in a row
+    assert cocycle_space(trivial_rack(2), 3).dim == 64
+    assert coboundary_space(trivial_rack(2), 3).dim == 0
+    assert cocycle_space(r3, 3).dim == 73
+    assert coboundary_space(r3, 3).dim == 72
 
 
 # -- entropic maps -----------------------------------------------------------

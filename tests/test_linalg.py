@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybrack.linalg import (DimensionMismatch, SparseMat, Subspace,
-                           image_basis, kernel_basis, rank, rref,
-                           solver, sum_and_intersection_dims, vec_axpy)
+                           distinct_rows, image_basis, kernel_basis, rank,
+                           rref, solver, sum_and_intersection_dims,
+                           vec_axpy)
 
 F = Fraction
 
@@ -98,6 +99,32 @@ def subspace_pairs(draw):
 def test_sum_and_intersection_match_nullity_oracle(ab):
     a, b = ab
     assert sum_and_intersection_dims(a, b) == _dims_by_nullity(a, b)
+
+
+def _reduce_by_every_pivot(s, v):
+    """Oracle: eliminate v against every basis row, in pivot order."""
+    r = dict(v)
+    for pc, row in zip(s.pivots, s.basis):
+        if r.get(pc):
+            r = vec_axpy(r, -r[pc], row)
+    return r
+
+
+@settings(max_examples=100)
+@given(subspace_pairs())
+def test_reduce_matches_reduction_by_every_pivot(ab):
+    # same residual values, inserted in the same order
+    a, b = ab
+    for v in b.basis:
+        assert list(a.reduce(v).items()) == \
+            list(_reduce_by_every_pivot(a, v).items())
+
+
+def test_distinct_rows_up_to_sign_fewest_nonzeros_first():
+    rows = [(0, 2, 3, -1), (), (1, -5), (0, -2, 3, 1), (1, 5),
+            (2, 1, 4, 1, 5, 1), (0, 1)]
+    assert distinct_rows(rows) == [{1: 5}, {0: 1}, {0: 2, 3: -1},
+                                   {2: 1, 4: 1, 5: 1}]
 
 
 def _random_matrix(rng, rows, cols, nnz):
