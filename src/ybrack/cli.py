@@ -128,7 +128,7 @@ def cmd_braid(args) -> int:
 def cmd_cohomology(args) -> int:
     rack = load_rack(args.rack)
     if args.degree == 2:
-        report = classify_h2(rack, size_limit=args.size_limit)
+        report = classify_h2(rack)
         payload = {**provenance(rack), **report.to_json()}
         emit(args, payload, [
             f"dim C2 = {report.dim_c2}",
@@ -138,8 +138,6 @@ def cmd_cohomology(args) -> int:
             ("verified" if report.decomposition_verified else "FAILED"),
         ])
         return OK if report.decomposition_verified else MATH_FAIL
-    if rack.size > args.size_limit:
-        raise InputError(f"rack size {rack.size} over limit {args.size_limit}")
     z = cocycle_space(rack, args.degree)
     b = coboundary_space(rack, args.degree)
     e = entropic_basis(rack, args.degree)
@@ -328,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="human")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized commands")
-    parser.add_argument("--size-limit", type=int, default=8,
-                        help="largest rack size for cohomology")
     parser.add_argument("--trunc", type=int, default=None,
                         help="truncation order: deform builds over "
                              "Q[h]/(h^N) (default 3); normalize requires "
@@ -390,8 +386,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if min(args.size_limit, args.inner_cap,
-               1 if args.trunc is None else args.trunc) < 1:
+        if min(args.inner_cap, 1 if args.trunc is None else args.trunc) < 1:
             raise InputError("limits must be positive")
         return args.func(args)
     except (InputError, RackSpecError, RackError, ClosureCapExceeded) as exc:

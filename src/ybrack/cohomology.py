@@ -18,10 +18,18 @@ Every coboundary is assembled row by row from per-partial index tables:
 each cell (u -> v) sends its 2n terms through d_i by list lookups, and
 the terms are summed as ints into flat rows (col, int, col, int, ...).
 The cells come in increasing column, so each row comes out sorted by
-column with its zeros dropped, and needs no sort afterwards.  The same
-row sums give the cochain coboundary (over the common denominator of
-the cochain), coboundary_matrix (one Fraction per distinct value), and
-cocycle_space, which hands the distinct nonzero rows, up to sign,
+column with its zeros dropped, and needs no sort afterwards.
+
+The rows come in n chunks, one pass over the cells for each value t of
+the last slot of x.  Every d_i, i < d, keeps the last slot of u as that
+of x, and the a-th term pair of d_d puts a there.  So pass t takes the
+full d_i, i < d, of the cells with u_last = t and only the a = t pair
+of d_d, no other pass adds to its rows, and each chunk is final when
+its pass ends: it can be used and freed before the next one is built.
+The same chunks give the cochain coboundary (over the common
+denominator of the cochain), coboundary_matrix (one Fraction per
+distinct value), and cocycle_space, which deduplicates the nonzero rows
+of each chunk, up to sign, as it comes and hands the distinct rows
 straight to the certified modular kernel without forming the matrix.
 
 A cochain is entropic when every partial coboundary kills it;
@@ -140,35 +148,59 @@ def _partial_tables(rack: Rack, degree: int, i: int) -> tuple:
     return T, a_off, tail_x, tail_y, head_x, head_y
 
 
-def _row_sums(rack: Rack, degree: int, partials, cells) -> dict:
+def _row_sums(rack: Rack, degree: int, partials, cells):
     """Sum of sign * d_i over the (i, sign) in partials, applied to each
     cell (encode(u), encode(v), col, value) of degree-d indicators, value
-    times (u -> v); values are ints, and the cells come in nondecreasing
-    col.
+    times (u -> v); values are ints, and cells() yields the cells in
+    nondecreasing col, once per pass.
 
-    Returns {row: (col, total, col, total, ...)} with
-    row = encode(x) * n^(d+1) + encode(y), the index of Cochain.to_vector.
-    Each row is a flat tuple in increasing col with no zero total, empty
-    when all its terms cancel.  Because the cols arrive in order, a term
-    in the row's last col merges into that pair, which is dropped when
-    it sums to zero, and any other term is appended.
+    Yields n dicts {row: (col, total, col, total, ...)}, the t-th holding
+    the rows whose x ends in t, with row = encode(x) * n^(d+1) + encode(y),
+    the index of Cochain.to_vector, so (row // n^(d+1)) % n == t.  Chunk
+    t is complete when yielded: every term of d_i, i < d, on a cell
+    (u -> v) lands in a row with x_last = u_last, and the a-th term pair
+    of d_d in a row with x_last = a.  So pass t takes the full d_i, i < d,
+    of the cells with u_last = t and the a = t pair of d_d of every cell,
+    and no other pass touches its rows.  Each row is a flat tuple in
+    increasing col with no zero total, empty when all its terms cancel.
+    Because the cols arrive in order, a term in the row's last col merges
+    into that pair, which is dropped when it sums to zero, and any other
+    term is appended.
     """
     n = rack.size
     N = n ** (degree + 1)
-    tabs = [(sign, *_partial_tables(rack, degree, i)) for i, sign in partials]
-    rows: dict = {}
-    get = rows.get
-    for uc, vc, col, val in cells:
-        for sign, T, a_off, tail_x, tail_y, head_x, head_y in tabs:
-            hx, tx = divmod(uc, T)
-            hy, ty = divmod(vc, T)
-            base = (hx * n * T + tx) * N + hy * n * T + ty
-            back = tail_y[ty]
-            pos = [base + off + back[c] for off, c in zip(a_off, tail_x[tx])]
-            base = tx * N + ty
-            neg = [base + p + q for p, q in zip(head_x[hx], head_y[hy])]
-            v = val if sign > 0 else -val
-            for terms, w in ((pos, v), (neg, -v)):
+    full = [(sign, *_partial_tables(rack, degree, i))
+            for i, sign in partials if i < degree]
+    last = [(sign, *_partial_tables(rack, degree, i)[4:])
+            for i, sign in partials if i == degree]
+    for t in range(n):
+        # the a = t pair of d_d adds (u -> v) to the row of (u t -> v t),
+        # px[u] + v * n, and subtracts it from the row of (u' t -> v' t),
+        # nx[u] + ny[v], where ' moves every slot by rho(t)^-1
+        pairs = [(sign, [u * n * N + t * (N + 1) for u in range(len(hx))],
+                  [h[t] for h in hx], [h[t] for h in hy])
+                 for sign, hx, hy in last]
+        rows: dict = {}
+        get = rows.get
+        for uc, vc, col, val in cells():
+            groups = []
+            if uc % n == t:
+                for sign, T, a_off, tail_x, tail_y, head_x, head_y in full:
+                    hx, tx = divmod(uc, T)
+                    hy, ty = divmod(vc, T)
+                    base = (hx * n * T + tx) * N + hy * n * T + ty
+                    back = tail_y[ty]
+                    v = val if sign > 0 else -val
+                    groups.append(([base + off + back[c]
+                                    for off, c in zip(a_off, tail_x[tx])], v))
+                    base = tx * N + ty
+                    groups.append(([base + p + q for p, q in
+                                    zip(head_x[hx], head_y[hy])], -v))
+            for sign, px, nx, ny in pairs:
+                v = val if sign > 0 else -val
+                groups.append(((px[uc] + vc * n,), v))
+                groups.append(((nx[uc] + ny[vc],), -v))
+            for terms, w in groups:
                 for r in terms:
                     row = get(r)
                     if not row:
@@ -178,7 +210,7 @@ def _row_sums(rack: Rack, degree: int, partials, cells) -> dict:
                     else:
                         s = row[-1] + w
                         rows[r] = row[:-1] + (s,) if s else row[:-2]
-    return rows
+        yield rows
 
 
 def _alternating(degree: int) -> list[tuple[int, int]]:
@@ -190,11 +222,12 @@ def _cochain_sum(rack: Rack, f: Cochain, partials) -> Cochain:
     """The signed sum of partials applied to f, summed as ints over the
     common denominator of f's values."""
     den = lcm(*(v.denominator for v in f.entries.values()))
-    sums = _row_sums(rack, f.degree, partials, (
-        (xc, yc, 0, v.numerator * (den // v.denominator))
-        for (yc, xc), v in f.entries.items()))
+    cells = [(xc, yc, 0, v.numerator * (den // v.denominator))
+             for (yc, xc), v in f.entries.items()]
     return Cochain.from_vector(rack.size, f.degree + 1, {
-        r: Fraction(row[1], den) for r, row in sums.items() if row})
+        r: Fraction(row[1], den)
+        for chunk in _row_sums(rack, f.degree, partials, lambda: cells)
+        for r, row in chunk.items() if row})
 
 
 def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
@@ -209,11 +242,10 @@ def coboundary(rack: Rack, f: Cochain) -> Cochain:
     return _cochain_sum(rack, f, _alternating(f.degree))
 
 
-def _matrix_rows(rack: Rack, degree: int, partials) -> dict:
-    """Rows {row: (col, int, ...)} of the signed sum of partials on the
-    indicator cochains, as _row_sums gives them, column j the indicator
-    of index j of Cochain.to_vector; raises before assembling anything
-    too large."""
+def _matrix_rows(rack: Rack, degree: int, partials):
+    """The chunks of _row_sums for the signed sum of partials on the
+    indicator cochains, column j the indicator of index j of
+    Cochain.to_vector; raises before assembling anything too large."""
     n = rack.size
     if degree not in (1, 2, 3):
         raise ValueError("coboundary matrices support degrees 1..3")
@@ -222,19 +254,18 @@ def _matrix_rows(rack: Rack, degree: int, partials) -> dict:
             f"degree-{degree} coboundary matrix for size {n} "
             f"exceeds the entry limit {DEFAULT_ENTRY_LIMIT}")
     dim = n ** degree
-    return _row_sums(rack, degree, partials, (
-        (uc, vc, uc * dim + vc, 1)
-        for uc in range(dim) for vc in range(dim)))
+    return _row_sums(rack, degree, partials, lambda: (
+        (uc, vc, uc * dim + vc, 1) for uc in range(dim) for vc in range(dim)))
 
 
 def _matrix(rack: Rack, degree: int, partials) -> SparseMat:
     """_matrix_rows as a SparseMat, one Fraction per distinct value."""
-    rows = _matrix_rows(rack, degree, partials)
-    fracs = {t: Fraction(t) for row in rows.values() for t in row[1::2]}
+    fracs: dict = {}
     n = rack.size
     return SparseMat(n ** (2 * degree + 2), n ** (2 * degree), {
-        (r, c): fracs[t] for r, row in rows.items()
-        for c, t in zip(row[::2], row[1::2])})
+        (r, c): fracs.get(t) or fracs.setdefault(t, Fraction(t))
+        for chunk in _matrix_rows(rack, degree, partials)
+        for r, row in chunk.items() for c, t in zip(row[::2], row[1::2])})
 
 
 def partial_coboundary_matrix(rack: Rack, degree: int, i: int) -> SparseMat:
@@ -253,9 +284,9 @@ def coboundary_matrix(rack: Rack, degree: int) -> SparseMat:
 def cocycle_space(rack: Rack, degree: int) -> Subspace:
     """Z^d: kernel of the degree-d coboundary matrix, eliminated from its
     distinct integer rows without forming the matrix."""
-    rows = _matrix_rows(rack, degree, _alternating(degree))
-    distinct = linalg.distinct_rows(rows.values())
-    del rows  # the largest object here; free it before elimination
+    distinct = linalg.distinct_rows(
+        row for chunk in _matrix_rows(rack, degree, _alternating(degree))
+        for row in chunk.values())
     return linalg.row_kernel(rack.size ** (2 * degree), distinct)
 
 
@@ -409,15 +440,15 @@ class H2Report:
                 "verified": self.decomposition_verified}
 
 
-def classify_h2(rack: Rack, size_limit: int = 8) -> H2Report:
+def classify_h2(rack: Rack) -> H2Report:
     """Dimensions of Z^2, B^2, E^2 and the direct-sum verification.
 
     Over the rationals the cocycles always split as the entropic part
     plus the coboundaries; decomposition_verified reports the exact
-    linear-algebra confirmation on this rack.
+    linear-algebra confirmation on this rack.  Raises SizeOverflow, before
+    assembling anything, above size 14, where the degree-2 coboundary
+    matrix exceeds DEFAULT_ENTRY_LIMIT.
     """
-    if rack.size > size_limit:
-        raise SizeOverflow(f"rack size {rack.size} exceeds limit {size_limit}")
     z2 = cocycle_space(rack, 2)
     b2 = coboundary_space(rack, 2)
     e2 = entropic_basis(rack, 2).subspace()

@@ -86,12 +86,6 @@ def test_cohomology_degree_one(capsys):
     assert data["dimZ"] == 1 and data["dimB"] == 0
 
 
-def test_cohomology_size_limit(capsys):
-    code, _, err = run(capsys, "--size-limit", "3",
-                       "cohomology", "--rack", "dihedral:4")
-    assert code == 2
-
-
 def test_entropic_basis_output(capsys):
     code, data, _ = run_json(capsys, "entropic-basis", "--rack", "dihedral:3")
     assert code == 0
@@ -150,7 +144,7 @@ def test_reproduce_seed_flag(capsys):
 
 
 def test_config_rejects_nonpositive_limits(capsys):
-    code, _, err = run(capsys, "--size-limit", "0", "validate", "trivial:2")
+    code, _, err = run(capsys, "--inner-cap", "0", "validate", "trivial:2")
     assert code == 2 and "positive" in err
 
 
@@ -158,8 +152,8 @@ def test_config_defaults():
     from ybrack.cli import build_parser
     parser = build_parser()
     assert [parser.get_default(k)
-            for k in ("size_limit", "inner_cap", "trunc", "format")] \
-        == [8, 10 ** 6, None, "human"]
+            for k in ("inner_cap", "trunc", "format")] \
+        == [10 ** 6, None, "human"]
 
 
 def test_inner_cap_exceeded_is_input_error(capsys):

@@ -179,7 +179,7 @@ def test_size_guard():
     with pytest.raises(ValueError):
         coboundary_matrix(dihedral_rack(3), 4)
     with pytest.raises(SizeOverflow):
-        classify_h2(dihedral_rack(9), size_limit=8)
+        classify_h2(dihedral_rack(15))
 
 
 def test_degree_one_kernel_dimensions():
@@ -337,6 +337,10 @@ def test_classify_h2_examples():
     rep = classify_h2(trivial_rack(2))
     assert (rep.dim_z2, rep.dim_b2, rep.dim_e2) == (16, 0, 16)
     assert rep.decomposition_verified
+    # the first size above the old size-8 default
+    rep = classify_h2(dihedral_rack(9))
+    assert (rep.dim_z2, rep.dim_b2, rep.dim_e2, rep.dim_h2) == (81, 80, 1, 1)
+    assert rep.decomposition_verified
 
 
 def test_classify_h2_json_fields():
@@ -458,7 +462,7 @@ def test_symmetrize_fixes_degree_one_cocycles():
 
 
 def test_size_eight_degree_two_matrix_within_contract():
-    # the largest admitted size: ~260k x 4k, built sparsely
+    # ~260k x 4k, built sparsely
     rack = dihedral_rack(8)
     rng = random.Random(116)
     m = coboundary_matrix(rack, 2)

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from test_cohomology import naive_partial_coboundary
 from ybrack import linalg
-from ybrack.cohomology import (Cochain, classify_h2, coboundary,
-                               coboundary_i, coboundary_matrix,
-                               cocycle_space, entropic_basis, is_entropic,
+from ybrack.cohomology import (Cochain, _alternating, _matrix_rows,
+                               classify_h2, coboundary, coboundary_i,
+                               coboundary_matrix, cocycle_space,
+                               entropic_basis, is_entropic,
                                partial_coboundary_matrix)
 from ybrack.racks import validate_rack
 
@@ -132,9 +133,23 @@ def test_coboundary_matrix_and_eliminated_rows_match_naive_oracle(
     # the naive oracle visits every output index pair, so a few columns
     js = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1,
                             max_size=6, unique=True))
+    # the assembly's chunks: chunk t holds the rows whose x ends in t,
+    # no row is in two chunks, and together they are the oracle's rows
+    chunks = list(_matrix_rows(rack, degree, _alternating(degree)))
+    assert len(chunks) == n
+    for t, chunk in enumerate(chunks):
+        assert all((r // n ** (degree + 1)) % n == t for r in chunk)
+    union = {r: row for chunk in chunks for r, row in chunk.items()}
+    assert len(union) == sum(map(len, chunks))
     for j in js:
         indicator = Cochain.from_vector(n, degree, {j: Fraction(1)})
-        assert cols[j] == naive_coboundary(rack, indicator).to_vector()
+        want = naive_coboundary(rack, indicator).to_vector()
+        assert cols[j] == want
+        assert {r: Fraction(dict(zip(row[::2], row[1::2]))[j])
+                for r, row in union.items() if j in row[::2]} == want
+    assert {r: {c: Fraction(t) for c, t in zip(row[::2], row[1::2])}
+            for r, row in union.items() if row} \
+        == {r: v for r, v in enumerate(m.row_vectors()) if v}
 
     seen = []
     row_kernel = linalg.row_kernel
