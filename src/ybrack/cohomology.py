@@ -32,6 +32,15 @@ distinct value), and cocycle_space, which deduplicates the nonzero rows
 of each chunk, up to sign, as it comes and hands the distinct rows
 straight to the certified modular kernel without forming the matrix.
 
+classify_h2 needs only dim Z^2, and proves it instead of computing the
+kernel.  It first checks exactly that E^2 + B^2 lies in ker d^2, so
+dim Z^2 >= dim(E^2 + B^2).  The integer rows of d^2 have rank mod P at
+most their rank over Q, so any rows whose rank mod P reaches
+n^4 - dim(E^2 + B^2) prove dim Z^2 <= dim(E^2 + B^2) as well.  The
+chunks are eliminated mod P as they come and assembly stops at the
+first prefix that reaches that rank, in practice within two of the n
+chunks.  If a check fails, the certified kernel gives dim Z^2.
+
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
 behaviourally equivalent) and fully equivariant (invariant under the
@@ -440,29 +449,52 @@ class H2Report:
                 "verified": self.decomposition_verified}
 
 
+def _kills(rack: Rack, degree: int, vectors) -> bool:
+    """True iff the degree-d coboundary kills every vector, indexed as in
+    Cochain.to_vector: one _row_sums pass over the vectors, each scaled
+    to integers, with column k the k-th vector, leaves every row empty."""
+    dim = rack.size ** degree
+    cells = [(*divmod(i, dim), k, a) for k, v in enumerate(vectors)
+             for i, a in linalg.integer_multiple(v).items()]
+    return not any(row for chunk in _row_sums(
+        rack, degree, _alternating(degree), lambda: cells)
+        for row in chunk.values())
+
+
 def classify_h2(rack: Rack) -> H2Report:
     """Dimensions of Z^2, B^2, E^2 and the direct-sum verification.
 
     Over the rationals the cocycles always split as the entropic part
     plus the coboundaries; decomposition_verified reports the exact
-    linear-algebra confirmation on this rack.  Raises SizeOverflow, before
-    assembling anything, above size 14, where the degree-2 coboundary
-    matrix exceeds DEFAULT_ENTRY_LIMIT.
+    linear-algebra confirmation on this rack.  dim Z^2 is proved rather
+    than computed as a kernel: once E^2 + B^2 lies in ker d^2 exactly,
+    dim Z^2 >= dim(E^2 + B^2), and any rows of the integer matrix of d^2
+    whose rank mod P reaches n^4 - dim(E^2 + B^2) prove equality, since
+    rank_P <= rank_Q.  The distinct rows are read chunk by chunk and the
+    assembly stops at the first prefix that reaches that rank.  If
+    E^2 meets B^2, E^2 + B^2 leaves ker d^2 or no prefix reaches the
+    rank, dim Z^2 is the certified kernel of cocycle_space instead.
+    Raises SizeOverflow, before building anything, above size 14, where
+    the degree-2 coboundary matrix exceeds DEFAULT_ENTRY_LIMIT.
     """
-    z2 = cocycle_space(rack, 2)
+    n = rack.size
+    # _matrix_rows runs its size guard here, before anything is built
+    rows = linalg.unique_rows(
+        row for chunk in _matrix_rows(rack, 2, _alternating(2))
+        for row in chunk.values())
     b2 = coboundary_space(rack, 2)
     e2 = entropic_basis(rack, 2).subspace()
     dim_sum, dim_int = linalg.sum_and_intersection_dims(e2, b2)
-    inside = all(z2.contains_vec(v) for v in e2.basis) \
-        and all(z2.contains_vec(v) for v in b2.basis)
-    verified = dim_int == 0 and dim_sum == z2.dim and inside
-    return H2Report(rack_size=rack.size,
-                    dim_c2=rack.size ** 4,
-                    dim_z2=z2.dim,
+    split = dim_int == 0 and _kills(rack, 2, e2.basis + b2.basis)
+    certified = split and linalg.rank_reaches(rows, n ** 4 - dim_sum)
+    dim_z2 = dim_sum if certified else cocycle_space(rack, 2).dim
+    return H2Report(rack_size=n,
+                    dim_c2=n ** 4,
+                    dim_z2=dim_z2,
                     dim_b2=b2.dim,
                     dim_e2=e2.dim,
-                    dim_h2=z2.dim - b2.dim,
-                    decomposition_verified=verified)
+                    dim_h2=dim_z2 - b2.dim,
+                    decomposition_verified=split and dim_sum == dim_z2)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ pivot columns, so two subspaces are equal iff their bases are identical.
 Pivoting is deterministic: lowest column first, then lowest row.
 
 The same elimination runs over the prime field F_p on int entries; the
-kernel is computed mod P first and certified over Q (see row_kernel).
+kernel is computed mod P first and certified over Q (see row_kernel),
+and rank_reaches bounds the rank of integer rows from below by their
+rank mod P, reading only as many rows as it needs.
 """
 
 from __future__ import annotations
@@ -217,17 +219,13 @@ def _field_ops(p: int | None):
     return axpy, scale
 
 
-def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form of an iterable of sparse row vectors, over
-    Q, or over F_p when the prime p is given and the entries are ints in
-    [0, p).
-
-    Returns (rows, pivots): rows have leading coefficient 1 at strictly
-    increasing pivot columns and are fully reduced against each other.
-    The result is the canonical basis of the row space.
-    """
+def _eliminate(vectors, pivots: dict[int, Vec], p: int | None):
+    """Forward elimination of an iterable of sparse row vectors into
+    pivots ({pivot col: row with leading coefficient 1}), over Q, or over
+    F_p on ints in [0, p) when the prime p is given.  Yields after each
+    new pivot and reads the next vector only when resumed, so a caller
+    that stops early reads no further vector."""
     axpy, scale = _field_ops(p)
-    pivots: dict[int, Vec] = {}  # pivot col -> row
     for row in vectors:
         r = dict(row)
         while r:
@@ -238,8 +236,24 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
                 if coeff != 1:
                     r = scale(r, coeff)
                 pivots[lead] = r
+                yield
                 break
             r = axpy(r, -r[lead], piv)
+
+
+def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form of an iterable of sparse row vectors, over
+    Q, or over F_p when the prime p is given and the entries are ints in
+    [0, p).
+
+    Returns (rows, pivots): rows have leading coefficient 1 at strictly
+    increasing pivot columns and are fully reduced against each other.
+    The result is the canonical basis of the row space.
+    """
+    axpy, _ = _field_ops(p)
+    pivots: dict[int, Vec] = {}
+    for _ in _eliminate(vectors, pivots, p):
+        pass
     piv_cols = sorted(pivots)
     # back-substitute for the reduced form, last pivot first: the rows
     # already reduced hold no pivot column but their own
@@ -249,6 +263,24 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
             r = axpy(r, -r[c], pivots[c])
         pivots[pc] = r
     return [pivots[c] for c in piv_cols], piv_cols
+
+
+def _mod_p(rows):
+    """Integer rows (col, value, ...) as sparse vectors mod P."""
+    return ({c: a % P for c, a in zip(r[::2], r[1::2]) if a % P}
+            for r in rows)
+
+
+def rank_reaches(rows, target: int) -> bool:
+    """True iff the integer rows (col, value, ...) have rank at least
+    target mod P.  The rows are eliminated mod P as they are read, and
+    reading stops as soon as the rank reaches target; target <= 0 reads
+    no row.  The rank mod P is at most the rank over Q, so True also
+    bounds the rank over Q from below."""
+    if target <= 0:
+        return True
+    steps = _eliminate(_mod_p(rows), {}, P)
+    return any(k >= target for k, _ in enumerate(steps, 1))
 
 
 @dataclass(frozen=True)
@@ -321,12 +353,12 @@ def kernel_basis(m: SparseMat) -> Subspace:
     return row_kernel(m.cols, rows)
 
 
-def distinct_rows(rows) -> list[dict[int, int]]:
+def unique_rows(rows):
     """The nonempty rows among integer rows (col, value, col, value, ...),
-    each in increasing col with no zero value, as {col: int} without
-    repeats up to sign, fewest nonzeros first, each kept in the sign
-    with a positive first value."""
-    unique: dict[tuple, None] = {}
+    each in increasing col with no zero value, once each up to sign, in
+    the sign with a positive first value, in the order first seen; reads
+    the rows only as far as it is read."""
+    seen: set[tuple] = set()
     for row in rows:
         if not row:
             continue
@@ -334,14 +366,19 @@ def distinct_rows(rows) -> list[dict[int, int]]:
             flip = list(row)
             flip[1::2] = [-a for a in row[1::2]]
             row = tuple(flip)
-        unique[row] = None
-    return [dict(zip(key[::2], key[1::2]))
-            for key in sorted(unique, key=len)]
+        if row not in seen:
+            seen.add(row)
+            yield row
 
 
-def row_kernel(cols: int, rows: list[dict[int, int]]) -> Subspace:
+def distinct_rows(rows) -> list[tuple]:
+    """unique_rows as a list, fewest nonzeros first."""
+    return sorted(unique_rows(rows), key=len)
+
+
+def row_kernel(cols: int, rows: list[tuple]) -> Subspace:
     """Canonical basis of the vectors in Q^cols that every integer row
-    annihilates.
+    (col, value, col, value, ...) annihilates.
 
     The kernel is computed mod P and lifted by rational reconstruction,
     then certified over Q: every lifted vector is checked to satisfy
@@ -369,10 +406,10 @@ def _free_entries(cols: int, rows: list[Vec], pivots: list[int]):
     return out
 
 
-def _rational_kernel(cols: int, rows: list[dict[int, int]]) -> list[Vec]:
+def _rational_kernel(cols: int, rows: list[tuple]) -> list[Vec]:
     """A kernel basis of the integer rows by elimination over Q."""
-    ref_rows, piv_cols = rref({c: Fraction(a) for c, a in r.items()}
-                              for r in rows)
+    ref_rows, piv_cols = rref({c: Fraction(a) for c, a in
+                               zip(r[::2], r[1::2])} for r in rows)
     basis = []
     for f, entries in _free_entries(cols, ref_rows, piv_cols).items():
         v: Vec = {f: ONE}
@@ -395,11 +432,10 @@ def _lift(x: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _modular_kernel(cols: int, rows: list[dict[int, int]]) -> list[Vec] | None:
+def _modular_kernel(cols: int, rows: list[tuple]) -> list[Vec] | None:
     """A kernel basis of the integer rows by elimination mod P, lifted and
     checked exactly; None when that fails."""
-    ref_rows, piv_cols = rref(({c: a % P for c, a in r.items() if a % P}
-                               for r in rows), P)
+    ref_rows, piv_cols = rref(_mod_p(rows), P)
     lifts: dict[int, Fraction | None] = {}
     basis = []
     for f, entries in _free_entries(cols, ref_rows, piv_cols).items():
@@ -415,18 +451,23 @@ def _modular_kernel(cols: int, rows: list[dict[int, int]]) -> list[Vec] | None:
     return basis if _annihilates(rows, basis) else None
 
 
-def _annihilates(rows: list[dict[int, int]], basis: list[Vec]) -> bool:
+def integer_multiple(v: Vec) -> dict[int, int]:
+    """v times the lcm of its denominators, as ints."""
+    ratios = {c: q.as_integer_ratio() for c, q in v.items()}
+    den = lcm(*(d for _, d in ratios.values()))
+    return {c: a * (den // d) for c, (a, d) in ratios.items()}
+
+
+def _annihilates(rows: list[tuple], basis: list[Vec]) -> bool:
     """True iff row . v = 0 for every integer row and every v in basis,
     each v scaled to integers first."""
     by_col: dict[int, list[tuple[int, int]]] = {}
     for k, v in enumerate(basis):
-        ratios = {c: q.as_integer_ratio() for c, q in v.items()}
-        den = lcm(*(d for _, d in ratios.values()))
-        for c, (a, d) in ratios.items():
-            by_col.setdefault(c, []).append((k, a * (den // d)))
+        for c, a in integer_multiple(v).items():
+            by_col.setdefault(c, []).append((k, a))
     for row in rows:
         acc: dict[int, int] = {}
-        for c, a in row.items():
+        for c, a in zip(row[::2], row[1::2]):
             for k, b in by_col.get(c, ()):
                 acc[k] = acc.get(k, 0) + a * b
         if any(acc.values()):

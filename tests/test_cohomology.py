@@ -6,13 +6,14 @@ import pytest
 
 from conftest import (CORPUS_RACKS, rand_cochain, rand_cocycle,
                       rand_rational_matrix)
-from ybrack import linalg
+from ybrack import cohomology, linalg
+from ybrack.cli import main
 from ybrack.cohomology import (Cochain, classify_h2, coboundary, coboundary_i,
                                coboundary_matrix, coboundary_space,
                                cocycle_space, decode, encode, entropic_basis,
                                is_entropic, partial_coboundary_matrix,
                                rack_cocycle_check, symmetrize)
-from ybrack.linalg import SizeOverflow, SparseMat
+from ybrack.linalg import SizeOverflow, SparseMat, Subspace
 from ybrack.racks import (dihedral_rack, inner_group,
                           square_reflection_quandle, tetrahedral_quandle,
                           trivial_rack)
@@ -182,6 +183,17 @@ def test_size_guard():
         classify_h2(dihedral_rack(15))
 
 
+def test_classify_h2_guard_runs_before_building_anything(monkeypatch):
+    built = []
+    for name in ("coboundary_space", "entropic_basis", "_row_sums",
+                 "_partial_tables"):
+        monkeypatch.setattr(cohomology, name,
+                            lambda *args, name=name: built.append(name))
+    with pytest.raises(SizeOverflow):
+        classify_h2(dihedral_rack(15))
+    assert built == []
+
+
 def test_degree_one_kernel_dimensions():
     # full coboundary: only the constant diagonal survives; the first
     # partial alone has the whole behaviourally-diagonal part as kernel
@@ -341,6 +353,62 @@ def test_classify_h2_examples():
     rep = classify_h2(dihedral_rack(9))
     assert (rep.dim_z2, rep.dim_b2, rep.dim_e2, rep.dim_h2) == (81, 80, 1, 1)
     assert rep.decomposition_verified
+    # the figures of the full-kernel computation
+    rep = classify_h2(dihedral_rack(12))
+    assert (rep.dim_z2, rep.dim_b2, rep.dim_e2, rep.dim_h2) == \
+        (156, 140, 16, 16)
+    assert rep.decomposition_verified
+
+
+def test_classify_h2_falls_back_when_the_rank_is_not_reached(
+        monkeypatch, capsys):
+    # without one orbit E^2 + B^2 is too small for any rank to certify
+    # it, so dim Z^2 comes from the kernel and the split fails
+    rack = dihedral_rack(4)
+    dim_z2 = cocycle_space(rack, 2).dim
+    entropic = cohomology.entropic_basis
+
+    def short(rack, degree):
+        basis = entropic(rack, degree)
+        return cohomology.EntropicBasis(basis.rack_size, basis.degree,
+                                        basis.orbits[1:])
+
+    calls = []
+    kernel = cohomology.cocycle_space
+    monkeypatch.setattr(cohomology, "entropic_basis", short)
+    monkeypatch.setattr(cohomology, "cocycle_space",
+                        lambda *args: calls.append(args) or kernel(*args))
+    rep = classify_h2(rack)
+    assert not rep.decomposition_verified
+    assert rep.dim_z2 == dim_z2 and rep.dim_h2 == dim_z2 - rep.dim_b2
+    assert len(calls) == 1
+    assert main(["cohomology", "--rack", "dihedral:4", "--degree", "2"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+
+
+def test_classify_h2_checks_that_coboundaries_are_cocycles(monkeypatch):
+    # a planted non-cocycle in B^2 fails the containment check, so the
+    # rank is never consulted and the kernel gives dim Z^2
+    rack = dihedral_rack(3)
+    b2 = coboundary_space(rack, 2)
+    e2 = entropic_basis(rack, 2).subspace()
+    z2 = cocycle_space(rack, 2)
+
+    def planted(v):
+        return Subspace.from_vectors(b2.ambient_dim, [*b2.basis, v])
+
+    # the first indicator outside Z^2 whose planted B^2 still meets E^2
+    # only in 0, so that only the containment check can fail
+    v = next(v for v in ({i: F(1)} for i in range(rack.size ** 4))
+             if not z2.contains_vec(v)
+             and linalg.sum_and_intersection_dims(e2, planted(v))[1] == 0)
+    monkeypatch.setattr(cohomology, "coboundary_space",
+                        lambda rack, degree: planted(v))
+    monkeypatch.setattr(linalg, "rank_reaches",
+                        lambda *args: pytest.fail("rank consulted"))
+    rep = classify_h2(rack)
+    assert not rep.decomposition_verified
+    assert (rep.dim_z2, rep.dim_b2) == (z2.dim, b2.dim + 1)
 
 
 def test_classify_h2_json_fields():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybrack.linalg import (DimensionMismatch, SparseMat, Subspace,
+from ybrack.linalg import (P, DimensionMismatch, SparseMat, Subspace,
                            distinct_rows, image_basis, kernel_basis, rank,
-                           rref, solver, sum_and_intersection_dims,
-                           vec_axpy)
+                           rank_reaches, rref, solver,
+                           sum_and_intersection_dims, vec_axpy)
 
 F = Fraction
 
@@ -123,8 +123,67 @@ def test_reduce_matches_reduction_by_every_pivot(ab):
 def test_distinct_rows_up_to_sign_fewest_nonzeros_first():
     rows = [(0, 2, 3, -1), (), (1, -5), (0, -2, 3, 1), (1, 5),
             (2, 1, 4, 1, 5, 1), (0, 1)]
-    assert distinct_rows(rows) == [{1: 5}, {0: 1}, {0: 2, 3: -1},
-                                   {2: 1, 4: 1, 5: 1}]
+    assert distinct_rows(rows) == [(1, 5), (0, 1), (0, 2, 3, -1),
+                                   (2, 1, 4, 1, 5, 1)]
+
+
+@st.composite
+def integer_rows(draw):
+    """Flat integer rows (col, value, ...) in increasing col with no zero
+    value; some values are multiples of P, and some rows repeat earlier
+    ones, so the rank mod P has both dependent and vanishing rows."""
+    value = st.one_of(st.integers(-4, 4), st.integers(-2, 2).map(
+        lambda k: k * P + 1), st.sampled_from([P, -P, 2 * P]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        entries = draw(st.dictionaries(st.integers(0, 5), value, max_size=4))
+        rows.append(tuple(x for c in sorted(entries) if entries[c]
+                          for x in (c, entries[c])))
+    return rows
+
+
+def _rank_p(rows):
+    return len(rref(({c: a % P for c, a in zip(r[::2], r[1::2]) if a % P}
+                     for r in rows), P)[1])
+
+
+class _Reads:
+    """An iterator over rows that counts how many were read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = iter(rows), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.read += 1
+        return row
+
+
+@settings(max_examples=200)
+@given(integer_rows(), st.integers(0, 8))
+def test_rank_reaches_matches_rref_rank_mod_p(rows, target):
+    rank_p = _rank_p(rows)
+    reads = _Reads(rows)
+    assert rank_reaches(reads, target) == (target <= rank_p)
+    if target == 0:
+        assert reads.read == 0
+    elif target <= rank_p:
+        # reading stops at the shortest prefix of full enough rank
+        assert _rank_p(rows[:reads.read]) == target
+        assert _rank_p(rows[:reads.read - 1]) == target - 1
+
+
+def test_rank_reaches_drops_values_divisible_by_p():
+    # (P, 1) is e_1 mod P, which does not raise the rank of (0, 0, 1, 1)
+    assert not rank_reaches([(0, P, 1, 1), (1, 1)], 2)
+    assert rank_reaches([(0, P + 1, 1, 1), (1, 1)], 2)
+    assert not rank_reaches([(0, 2 * P, 3, -P)], 1)
 
 
 def _random_matrix(rng, rows, cols, nnz):
