@@ -16,7 +16,7 @@ from .yangbaxter import (BraidWord, YBOperator, braid_rep, build_cq,
 from .cohomology import (Cochain, EntropicBasis, classify_h2, coboundary,
                          coboundary_i, coboundary_matrix, coboundary_space,
                          cocycle_space, entropic_basis, is_entropic,
-                         rack_cocycle_check, symmetrize)
+                         symmetrize)
 from .deformations import (DeformationFamily, Equivalence, assemble,
                            normalize_to_entropic, rmatrix_equivalence,
                            trace_square_formula, ybe_deformed)

@@ -50,15 +50,27 @@ def load_rack(spec: str) -> Rack:
     """Named constructor, or a JSON file when the spec names a file."""
     import os
     if os.path.exists(spec) or spec.endswith(".json"):
-        try:
-            with open(spec) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {spec}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON in {spec}: {exc}") from exc
-        return rack_from_json(data)
+        return rack_from_json(_read_json(spec, f"malformed JSON in {spec}"))
     return rack_from_name(spec)
+
+
+def _parse_json(text: str, malformed: str):
+    """The JSON value of text; InputError headed by malformed when it is
+    not JSON, nesting too deep for the parser included."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{malformed}: {exc}") from exc
+
+
+def _read_json(path: str, malformed: str):
+    """_parse_json of a file's text; InputError when it cannot be read."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return _parse_json(text, malformed)
 
 
 def emit(args, payload: dict, human_lines: list[str]):
@@ -164,10 +176,7 @@ def cmd_entropic_basis(args) -> int:
 
 
 def _parse_lambda(text: str, trunc: int) -> list[TruncPoly]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed lambda JSON: {exc}") from exc
+    raw = _parse_json(text, "malformed lambda JSON")
     if not isinstance(raw, list):
         raise InputError("lambda must be a JSON array, one value per orbit")
     return [TruncPoly.from_json(item if isinstance(item, list)
@@ -211,13 +220,7 @@ def cmd_deform(args) -> int:
 
 def cmd_normalize(args) -> int:
     rack = load_rack(args.rack)
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
+    data = _read_json(args.input, "malformed JSON")
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
     mat = PolyMat.from_json(data)

@@ -32,14 +32,18 @@ distinct value), and cocycle_space, which deduplicates the nonzero rows
 of each chunk, up to sign, as it comes and hands the distinct rows
 straight to the certified modular kernel without forming the matrix.
 
-classify_h2 needs only dim Z^2, and proves it instead of computing the
-kernel.  It first checks exactly that E^2 + B^2 lies in ker d^2, so
-dim Z^2 >= dim(E^2 + B^2).  The integer rows of d^2 have rank mod P at
-most their rank over Q, so any rows whose rank mod P reaches
-n^4 - dim(E^2 + B^2) prove dim Z^2 <= dim(E^2 + B^2) as well.  The
-chunks are eliminated mod P as they come and assembly stops at the
-first prefix that reaches that rank, in practice within two of the n
-chunks.  If a check fails, the certified kernel gives dim Z^2.
+classify_h2 proves Z^2 = E^2 (+) B^2 on integers, with no elimination
+over Q.  The orbit indicators of E^1 and E^2 are independent, and the
+integer columns of d^1, read off its chunks, span B^2.  d^1 must kill
+the E^1 indicators and d^2 the E^2 indicators and the d^1 columns,
+exactly.  Rank mod P is at most rank over Q, so a rank mod P of the
+stacked E^2 indicators and d^1 columns of dim E^2 + n^2 - dim E^1 fixes
+dim B^2 = n^2 - dim E^1 and E^2 (+) B^2, and distinct rows of d^2 of
+rank mod P n^4 - dim(E^2 + B^2) prove dim Z^2 <= dim(E^2 + B^2).  The
+chunks of d^2 are eliminated mod P as they come and assembly stops at
+the first prefix that reaches that rank, in practice within two of the
+n chunks.  If a check or a rank falls short, exact elimination over Q
+and the certified kernel give the report.
 
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
@@ -449,13 +453,34 @@ class H2Report:
                 "verified": self.decomposition_verified}
 
 
+def _columns(rack: Rack, degree: int) -> list[dict[int, int]]:
+    """The columns of the degree-d coboundary matrix as integer vectors
+    {row: value}, read off the rows of _matrix_rows."""
+    cols = [{} for _ in range(rack.size ** (2 * degree))]
+    for chunk in _matrix_rows(rack, degree, _alternating(degree)):
+        for r, row in chunk.items():
+            for c, a in zip(row[::2], row[1::2]):
+                cols[c][r] = a
+    return cols
+
+
+def _indicators(basis: EntropicBasis) -> list[dict[int, int]]:
+    """The orbit indicators of an entropic basis as integer vectors,
+    indexed as in Cochain.to_vector."""
+    n = basis.rack_size
+    dim = n ** basis.degree
+    return [{encode(x, n) * dim + encode(y, n): 1 for x, y in orbit}
+            for orbit in basis.orbits]
+
+
 def _kills(rack: Rack, degree: int, vectors) -> bool:
-    """True iff the degree-d coboundary kills every vector, indexed as in
-    Cochain.to_vector: one _row_sums pass over the vectors, each scaled
-    to integers, with column k the k-th vector, leaves every row empty."""
+    """True iff the degree-d coboundary kills every integer vector
+    {index: value}, indexed as in Cochain.to_vector: one _row_sums pass
+    over the vectors, with column k the k-th vector, leaves every row
+    empty."""
     dim = rack.size ** degree
     cells = [(*divmod(i, dim), k, a) for k, v in enumerate(vectors)
-             for i, a in linalg.integer_multiple(v).items()]
+             for i, a in v.items()]
     return not any(row for chunk in _row_sums(
         rack, degree, _alternating(degree), lambda: cells)
         for row in chunk.values())
@@ -466,65 +491,50 @@ def classify_h2(rack: Rack) -> H2Report:
 
     Over the rationals the cocycles always split as the entropic part
     plus the coboundaries; decomposition_verified reports the exact
-    linear-algebra confirmation on this rack.  dim Z^2 is proved rather
-    than computed as a kernel: once E^2 + B^2 lies in ker d^2 exactly,
-    dim Z^2 >= dim(E^2 + B^2), and any rows of the integer matrix of d^2
-    whose rank mod P reaches n^4 - dim(E^2 + B^2) prove equality, since
-    rank_P <= rank_Q.  The distinct rows are read chunk by chunk and the
-    assembly stops at the first prefix that reaches that rank.  If
-    E^2 meets B^2, E^2 + B^2 leaves ker d^2 or no prefix reaches the
-    rank, dim Z^2 is the certified kernel of cocycle_space instead.
-    Raises SizeOverflow, before building anything, above size 14, where
-    the degree-2 coboundary matrix exceeds DEFAULT_ENTRY_LIMIT.
+    confirmation on this rack.  The split is proved on integers, with
+    no elimination over Q, from the orbit indicators of E^1 and E^2
+    (independent, having disjoint supports) and the integer columns of
+    d^1, which span B^2:
+      1. d^1 kills the E^1 indicators exactly, so dim B^2 = rank d^1 is
+         at most n^2 - dim E^1;
+      2. d^2 kills the E^2 indicators and the d^1 columns exactly, so
+         E^2 + B^2 lies in Z^2;
+      3. the stacked E^2 indicators and d^1 columns have rank mod P at
+         least dim E^2 + n^2 - dim E^1.  Since rank_P <= rank_Q for
+         integer vectors, that gives dim B^2 = n^2 - dim E^1 and
+         E^2 meets B^2 only in 0;
+      4. the distinct rows of d^2, read chunk by chunk, reach rank mod P
+         n^4 - dim(E^2 + B^2), so dim Z^2 <= dim(E^2 + B^2); the
+         assembly stops at the first prefix that does.
+    If any check or rank falls short, the report comes from exact
+    elimination instead: B^2 as the image of d^1, E^2 and their sum and
+    intersection over Q, and dim Z^2 from the certified kernel of
+    cocycle_space.  Raises SizeOverflow, before building anything, above
+    size 14, where the degree-2 coboundary matrix exceeds
+    DEFAULT_ENTRY_LIMIT.
     """
     n = rack.size
     # _matrix_rows runs its size guard here, before anything is built
     rows = linalg.unique_rows(
         row for chunk in _matrix_rows(rack, 2, _alternating(2))
         for row in chunk.values())
+    basis = entropic_basis(rack, 2)
+    ind1 = _indicators(entropic_basis(rack, 1))
+    ind2 = _indicators(basis)
+    dim_b2 = n * n - len(ind1)
+    dim_sum = len(ind2) + dim_b2
+    vectors = ind2 + _columns(rack, 1)  # span E^2 + B^2
+    stacked = (tuple(x for item in v.items() for x in item) for v in vectors)
+    if (_kills(rack, 1, ind1) and _kills(rack, 2, vectors)
+            and linalg.rank_reaches(stacked, dim_sum)
+            and linalg.rank_reaches(rows, n ** 4 - dim_sum)):
+        return H2Report(n, n ** 4, dim_sum, dim_b2, len(ind2), len(ind2),
+                        True)
     b2 = coboundary_space(rack, 2)
-    e2 = entropic_basis(rack, 2).subspace()
+    e2 = basis.subspace()
     dim_sum, dim_int = linalg.sum_and_intersection_dims(e2, b2)
-    split = dim_int == 0 and _kills(rack, 2, e2.basis + b2.basis)
-    certified = split and linalg.rank_reaches(rows, n ** 4 - dim_sum)
-    dim_z2 = dim_sum if certified else cocycle_space(rack, 2).dim
-    return H2Report(rack_size=n,
-                    dim_c2=n ** 4,
-                    dim_z2=dim_z2,
-                    dim_b2=b2.dim,
-                    dim_e2=e2.dim,
-                    dim_h2=dim_z2 - b2.dim,
-                    decomposition_verified=split and dim_sum == dim_z2)
-
-
-@dataclass(frozen=True)
-class CocycleVerdict:
-    ok: bool
-    witness: tuple[int, int, int] | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def rack_cocycle_check(rack: Rack, alpha, modulus: int) -> CocycleVerdict:
-    """Additive rack cocycle condition for a map Q x Q -> Z/modulus:
-
-        a(x,y) + a(x^y,z) = a(x,z) + a(x^z,y^z)
-
-    for all triples; the witness is the first failing (x,y,z).
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    n = rack.size
-
-    def val(x, y):
-        return alpha[x][y]
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = val(x, y) + val(rack.op(x, y), z)
-                rhs = val(x, z) + val(rack.op(x, z), rack.op(y, z))
-                if (lhs - rhs) % modulus != 0:
-                    return CocycleVerdict(False, (x, y, z))
-    return CocycleVerdict(True)
+    dim_z2 = cocycle_space(rack, 2).dim
+    split = dim_int == 0 and _kills(rack, 2, map(
+        linalg.integer_multiple, e2.basis + b2.basis))
+    return H2Report(n, n ** 4, dim_z2, b2.dim, e2.dim, dim_z2 - b2.dim,
+                    split and dim_sum == dim_z2)

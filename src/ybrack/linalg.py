@@ -9,10 +9,12 @@ Subspaces are kept in reduced row echelon form with strictly increasing
 pivot columns, so two subspaces are equal iff their bases are identical.
 Pivoting is deterministic: lowest column first, then lowest row.
 
-The same elimination runs over the prime field F_p on int entries; the
-kernel is computed mod P first and certified over Q (see row_kernel),
-and rank_reaches bounds the rank of integer rows from below by their
-rank mod P, reading only as many rows as it needs.
+The same elimination runs over the prime field F_p on signed int
+entries in (-p/2, p/2], updating each row in place, so the small values
+of integer rows stay small and are rarely reduced; rref hands its rows
+back in [0, p).  The kernel is computed mod P first and certified over Q
+(see row_kernel), and rank_reaches bounds the rank of integer rows from
+below by their rank mod P, reading only as many rows as it needs.
 """
 
 from __future__ import annotations
@@ -197,24 +199,31 @@ class SparseMat:
 
 
 def _field_ops(p: int | None):
-    """(axpy, scale) over Q when p is None, else over F_p on ints in
-    [0, p): axpy(a, s, b) = a + s*b, scale(r, c) = r / c."""
+    """(axpy, scale) over Q when p is None, else over F_p on signed ints
+    in (-p/2, p/2]: axpy(a, s, b) = a + s*b and scale(r, c) = r / c.
+    Over F_p, axpy updates a in place and returns it, and reduces a sum
+    only when it leaves that range, so the small values of a coboundary
+    stay small and need no %; a pivot of -1 is negated without any."""
     if p is None:
         return vec_axpy, lambda r, c: {i: v / c for i, v in r.items()}
+    half = p // 2
 
     def axpy(a, s, b):
-        out = dict(a)
         for i, v in b.items():
-            w = (out.get(i, 0) + s * v) % p
+            w = a.get(i, 0) + s * v
+            if not -half <= w <= half:
+                w = (w + half) % p - half
             if w:
-                out[i] = w
+                a[i] = w
             else:
-                out.pop(i, None)
-        return out
+                a.pop(i, None)
+        return a
 
     def scale(r, c):
+        if c == -1:
+            return {i: -v for i, v in r.items()}
         inv = pow(c, -1, p)
-        return {i: v * inv % p for i, v in r.items()}
+        return {i: (v * inv + half) % p - half for i, v in r.items()}
 
     return axpy, scale
 
@@ -222,9 +231,9 @@ def _field_ops(p: int | None):
 def _eliminate(vectors, pivots: dict[int, Vec], p: int | None):
     """Forward elimination of an iterable of sparse row vectors into
     pivots ({pivot col: row with leading coefficient 1}), over Q, or over
-    F_p on ints in [0, p) when the prime p is given.  Yields after each
-    new pivot and reads the next vector only when resumed, so a caller
-    that stops early reads no further vector."""
+    F_p on signed ints when the prime p is given (_field_ops).  Yields
+    after each new pivot and reads the next vector only when resumed, so
+    a caller that stops early reads no further vector."""
     axpy, scale = _field_ops(p)
     for row in vectors:
         r = dict(row)
@@ -243,12 +252,13 @@ def _eliminate(vectors, pivots: dict[int, Vec], p: int | None):
 
 def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form of an iterable of sparse row vectors, over
-    Q, or over F_p when the prime p is given and the entries are ints in
-    [0, p).
+    Q, or over F_p when the prime p is given and the entries are ints
+    that p does not divide.
 
     Returns (rows, pivots): rows have leading coefficient 1 at strictly
     increasing pivot columns and are fully reduced against each other.
-    The result is the canonical basis of the row space.
+    The result is the canonical basis of the row space; over F_p its
+    entries are in [0, p).
     """
     axpy, _ = _field_ops(p)
     pivots: dict[int, Vec] = {}
@@ -262,13 +272,18 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
         for c in [c for c in r if c != pc and c in pivots]:
             r = axpy(r, -r[c], pivots[c])
         pivots[pc] = r
+    if p is not None:
+        return [{c: v % p for c, v in pivots[pc].items()}
+                for pc in piv_cols], piv_cols
     return [pivots[c] for c in piv_cols], piv_cols
 
 
 def _mod_p(rows):
-    """Integer rows (col, value, ...) as sparse vectors mod P."""
-    return ({c: a % P for c, a in zip(r[::2], r[1::2]) if a % P}
-            for r in rows)
+    """Integer rows (col, value, ...) as sparse vectors mod P, with
+    values in (-P/2, P/2] as _field_ops keeps them."""
+    half = P // 2
+    return ({c: b for c, a in zip(r[::2], r[1::2])
+             if (b := (a + half) % P - half)} for r in rows)
 
 
 def rank_reaches(rows, target: int) -> bool:

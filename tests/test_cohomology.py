@@ -8,12 +8,12 @@ from conftest import (CORPUS_RACKS, rand_cochain, rand_cocycle,
                       rand_rational_matrix)
 from ybrack import cohomology, linalg
 from ybrack.cli import main
-from ybrack.cohomology import (Cochain, classify_h2, coboundary, coboundary_i,
-                               coboundary_matrix, coboundary_space,
-                               cocycle_space, decode, encode, entropic_basis,
-                               is_entropic, partial_coboundary_matrix,
-                               rack_cocycle_check, symmetrize)
-from ybrack.linalg import SizeOverflow, SparseMat, Subspace
+from ybrack.cohomology import (Cochain, H2Report, classify_h2, coboundary,
+                               coboundary_i, coboundary_matrix,
+                               coboundary_space, cocycle_space, decode,
+                               encode, entropic_basis, is_entropic,
+                               partial_coboundary_matrix, symmetrize)
+from ybrack.linalg import SizeOverflow, SparseMat
 from ybrack.racks import (dihedral_rack, inner_group,
                           square_reflection_quandle, tetrahedral_quandle,
                           trivial_rack)
@@ -386,29 +386,88 @@ def test_classify_h2_falls_back_when_the_rank_is_not_reached(
     assert "FAILED" in capsys.readouterr().out
 
 
+def _recorded(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call appends (args, result)."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(module, name, wrapper)
+
+
+# the exact reports on these racks, which the fallback must reproduce
+DIHEDRAL_3_REPORT = H2Report(3, 81, 9, 8, 1, 1, True)
+DIHEDRAL_4_REPORT = H2Report(4, 256, 28, 12, 16, 16, True)
+
+
 def test_classify_h2_checks_that_coboundaries_are_cocycles(monkeypatch):
-    # a planted non-cocycle in B^2 fails the containment check, so the
-    # rank is never consulted and the kernel gives dim Z^2
+    # a planted non-cocycle among the d^1 columns fails the containment
+    # check, so the rank of d^2 is never consulted, and the exact
+    # fallback, which does not read those columns, reports the true dims
     rack = dihedral_rack(3)
-    b2 = coboundary_space(rack, 2)
-    e2 = entropic_basis(rack, 2).subspace()
     z2 = cocycle_space(rack, 2)
-
-    def planted(v):
-        return Subspace.from_vectors(b2.ambient_dim, [*b2.basis, v])
-
-    # the first indicator outside Z^2 whose planted B^2 still meets E^2
-    # only in 0, so that only the containment check can fail
-    v = next(v for v in ({i: F(1)} for i in range(rack.size ** 4))
-             if not z2.contains_vec(v)
-             and linalg.sum_and_intersection_dims(e2, planted(v))[1] == 0)
-    monkeypatch.setattr(cohomology, "coboundary_space",
-                        lambda rack, degree: planted(v))
+    v = next(i for i in range(rack.size ** 4)
+             if not z2.contains_vec({i: F(1)}))
+    columns = cohomology._columns
+    monkeypatch.setattr(cohomology, "_columns",
+                        lambda rack, degree: columns(rack, degree) + [{v: 1}])
+    kills, kernels = [], []
+    _recorded(monkeypatch, cohomology, "_kills", kills)
+    _recorded(monkeypatch, cohomology, "cocycle_space", kernels)
     monkeypatch.setattr(linalg, "rank_reaches",
                         lambda *args: pytest.fail("rank consulted"))
     rep = classify_h2(rack)
-    assert not rep.decomposition_verified
-    assert (rep.dim_z2, rep.dim_b2) == (z2.dim, b2.dim + 1)
+    assert [(args[1], ok) for args, ok in kills[:2]] == [(1, True),
+                                                         (2, False)]
+    assert len(kernels) == 1
+    assert rep == DIHEDRAL_3_REPORT
+    assert (rep.dim_z2, rep.dim_b2) == (z2.dim, coboundary_space(rack, 2).dim)
+
+
+def test_classify_h2_falls_back_when_an_e1_orbit_is_missing(monkeypatch):
+    # without one E^1 orbit the certificate expects dim B^2 one too large,
+    # so the rank of the stacked E^2 indicators and d^1 columns falls
+    # short; the exact fallback does not read E^1
+    rack = dihedral_rack(4)
+    entropic = cohomology.entropic_basis
+
+    def short(rack, degree):
+        basis = entropic(rack, degree)
+        return basis if degree == 2 else cohomology.EntropicBasis(
+            basis.rack_size, basis.degree, basis.orbits[1:])
+
+    monkeypatch.setattr(cohomology, "entropic_basis", short)
+    ranks, kernels = [], []
+    _recorded(monkeypatch, linalg, "rank_reaches", ranks)
+    _recorded(monkeypatch, cohomology, "cocycle_space", kernels)
+    rep = classify_h2(rack)
+    # one rank consulted, the stacked one, and it fell short
+    assert [(args[1], ok) for args, ok in ranks] == [(16 + 12 + 1, False)]
+    assert len(kernels) == 1
+    assert rep == DIHEDRAL_4_REPORT
+
+
+def test_classify_h2_falls_back_when_e2_meets_b2(monkeypatch):
+    # a d^1 column planted among the E^2 indicators is a cocycle, so the
+    # containment checks pass, but E^2 then meets B^2 and the rank of the
+    # stack falls short; the exact fallback reads neither
+    rack = dihedral_rack(4)
+    column = next(c for c in cohomology._columns(rack, 1) if c)
+    indicators = cohomology._indicators
+    monkeypatch.setattr(
+        cohomology, "_indicators", lambda basis: indicators(basis)
+        + ([column] if basis.degree == 2 else []))
+    ranks, kills, kernels = [], [], []
+    _recorded(monkeypatch, linalg, "rank_reaches", ranks)
+    _recorded(monkeypatch, cohomology, "_kills", kills)
+    _recorded(monkeypatch, cohomology, "cocycle_space", kernels)
+    rep = classify_h2(rack)
+    assert all(ok for _, ok in kills)
+    assert [(args[1], ok) for args, ok in ranks] == [(17 + 12, False)]
+    assert len(kernels) == 1
+    assert rep == DIHEDRAL_4_REPORT
 
 
 def test_classify_h2_json_fields():
@@ -453,48 +512,6 @@ def test_conjugation_realizes_coboundary_perturbation():
         rhs = cq.compose(PolyMat.identity(n * n, 2).add(
             PolyMat.from_rational(d1g, 2, 1)))
         assert lhs == rhs
-
-
-# -- additive rack cocycles -----------------------------------------------------
-
-def test_rack_cocycle_zero_map():
-    rack = dihedral_rack(3)
-    zero = [[0] * 3 for _ in range(3)]
-    assert rack_cocycle_check(rack, zero, 3).ok
-
-
-def test_rack_cocycle_trivial_rack_always_true():
-    rng = random.Random(114)
-    rack = trivial_rack(4)
-    for _ in range(5):
-        alpha = [[rng.randrange(5) for _ in range(4)] for _ in range(4)]
-        assert rack_cocycle_check(rack, alpha, 5).ok
-
-
-def test_rack_cocycle_checker_matches_brute_force():
-    rng = random.Random(115)
-    rack = dihedral_rack(3)
-    hits = {True: 0, False: 0}
-    for _ in range(40):
-        alpha = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
-        verdict = rack_cocycle_check(rack, alpha, 3)
-        holds = all(
-            (alpha[x][y] + alpha[rack.op(x, y)][z]
-             - alpha[x][z] - alpha[rack.op(x, z)][rack.op(y, z)]) % 3 == 0
-            for x in range(3) for y in range(3) for z in range(3))
-        assert verdict.ok == holds
-        if not verdict.ok:
-            x, y, z = verdict.witness
-            assert (alpha[x][y] + alpha[rack.op(x, y)][z]
-                    - alpha[x][z]
-                    - alpha[rack.op(x, z)][rack.op(y, z)]) % 3 != 0
-        hits[verdict.ok] += 1
-    assert hits[False] > 0  # random maps do produce counterexamples
-
-
-def test_rack_cocycle_modulus_validation():
-    with pytest.raises(ValueError):
-        rack_cocycle_check(dihedral_rack(3), [[0] * 3] * 3, 0)
 
 
 def test_encode_decode_round_trip():

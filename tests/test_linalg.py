@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybrack.linalg import (P, DimensionMismatch, SparseMat, Subspace,
-                           distinct_rows, image_basis, kernel_basis, rank,
-                           rank_reaches, rref, solver,
+                           _mod_p, distinct_rows, image_basis, kernel_basis,
+                           rank, rank_reaches, rref, solver,
                            sum_and_intersection_dims, vec_axpy)
 
 F = Fraction
@@ -184,6 +184,111 @@ def test_rank_reaches_drops_values_divisible_by_p():
     assert not rank_reaches([(0, P, 1, 1), (1, 1)], 2)
     assert rank_reaches([(0, P + 1, 1, 1), (1, 1)], 2)
     assert not rank_reaches([(0, 2 * P, 3, -P)], 1)
+
+
+def _oracle_axpy(a, s, b, p):
+    """a + s*b mod p on a copy, every value reduced into [0, p)."""
+    out = dict(a)
+    for i, v in b.items():
+        w = (out.get(i, 0) + s * v) % p
+        if w:
+            out[i] = w
+        else:
+            out.pop(i, None)
+    return out
+
+
+def _oracle_eliminate(vectors, pivots, p):
+    """The copy-per-step forward elimination over F_p on ints in [0, p)
+    that the signed in-place kernel replaced, kept as its oracle; yields
+    after each new pivot."""
+    for row in vectors:
+        r = dict(row)
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                if r[lead] != 1:
+                    inv = pow(r[lead], -1, p)
+                    r = {i: v * inv % p for i, v in r.items()}
+                pivots[lead] = r
+                yield
+                break
+            r = _oracle_axpy(r, -r[lead], piv, p)
+
+
+def _oracle_rref(vectors, p):
+    pivots = {}
+    for _ in _oracle_eliminate(vectors, pivots, p):
+        pass
+    cols = sorted(pivots)
+    for pc in reversed(cols):
+        r = pivots[pc]
+        for c in [c for c in r if c != pc and c in pivots]:
+            r = _oracle_axpy(r, -r[c], pivots[c], p)
+        pivots[pc] = r
+    return [pivots[c] for c in cols], cols
+
+
+def _oracle_mod_p(rows):
+    return ({c: a % P for c, a in zip(r[::2], r[1::2]) if a % P}
+            for r in rows)
+
+
+def _oracle_rank_reaches(rows, target):
+    if target <= 0:
+        return True
+    steps = _oracle_eliminate(_oracle_mod_p(rows), {}, P)
+    return any(k >= target for k, _ in enumerate(steps, 1))
+
+
+def _items(result):
+    rows, pivots = result
+    return [list(r.items()) for r in rows], pivots
+
+
+@st.composite
+def wide_integer_rows(draw):
+    """Flat integer rows with values in +-3P: small values, multiples of
+    P, values near +-P/2 and anything in between; some rows repeat."""
+    near = st.integers(-2, 2)
+    value = st.one_of(
+        st.integers(-4, 4), st.integers(-3 * P, 3 * P),
+        st.integers(-3, 3).map(lambda k: k * P),
+        near.map(lambda k: P // 2 + k), near.map(lambda k: -P // 2 + k),
+        st.tuples(st.integers(-2, 2), near).map(lambda t: t[0] * P + t[1]))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        entries = draw(st.dictionaries(st.integers(0, 6), value, max_size=5))
+        rows.append(tuple(x for c in sorted(entries) if entries[c]
+                          for x in (c, entries[c])))
+    return rows
+
+
+@settings(max_examples=300)
+@given(wide_integer_rows(), st.integers(0, 9))
+def test_signed_kernel_matches_copy_per_step_oracle(rows, target):
+    expected = _items(_oracle_rref(_oracle_mod_p(rows), P))
+    for vectors in (_mod_p(rows), _oracle_mod_p(rows)):
+        result = rref(vectors, P)
+        assert _items(result) == expected
+        assert all(0 < v < P for r in result[0] for v in r.values())
+    reads, oracle_reads = _Reads(rows), _Reads(rows)
+    assert rank_reaches(reads, target) == \
+        _oracle_rank_reaches(oracle_reads, target)
+    assert reads.read == oracle_reads.read
+
+
+def test_signed_kernel_matches_oracle_on_coboundary_rows():
+    from ybrack.cohomology import _alternating, _matrix_rows
+    from ybrack.racks import dihedral_rack
+    rows = distinct_rows(row for chunk in _matrix_rows(
+        dihedral_rack(4), 2, _alternating(2)) for row in chunk.values())
+    assert _items(rref(_mod_p(rows), P)) == \
+        _items(_oracle_rref(_oracle_mod_p(rows), P))
 
 
 def _random_matrix(rng, rows, cols, nnz):
