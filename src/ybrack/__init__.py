@@ -13,7 +13,7 @@ from .racks import (Perm, PermGroup, Rack, behavioral_classes,
 from .truncpoly import PolyMat, TruncPoly
 from .yangbaxter import (BraidWord, YBOperator, braid_rep, build_cq,
                          build_jones, build_tau, check_ybe, trace_power)
-from .cohomology import (Cochain, EntropicBasis, classify_h2, coboundary,
+from .cohomology import (Cochain, EntropicBasis, classify, coboundary,
                          coboundary_i, coboundary_matrix, coboundary_space,
                          cocycle_space, entropic_basis, is_entropic,
                          symmetrize)

@@ -20,8 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, linalg, reference
-from .cohomology import (classify_h2, cocycle_space, coboundary_space,
-                         entropic_basis)
+from .cohomology import classify, entropic_basis
 from .deformations import (DecompositionError, DeformationFamily,
                            NotInvertibleError, assemble,
                            normalize_to_entropic, trace_square_formula,
@@ -139,27 +138,23 @@ def cmd_braid(args) -> int:
 
 def cmd_cohomology(args) -> int:
     rack = load_rack(args.rack)
-    if args.degree == 2:
-        report = classify_h2(rack)
-        payload = {**provenance(rack), **report.to_json()}
-        emit(args, payload, [
-            f"dim C2 = {report.dim_c2}",
-            f"dim Z2 = {report.dim_z2}   dim B2 = {report.dim_b2}",
-            f"dim E2 = {report.dim_e2}   dim H2 = {report.dim_h2}",
-            "decomposition Z2 = E2 (+) B2: " +
-            ("verified" if report.decomposition_verified else "FAILED"),
-        ])
-        return OK if report.decomposition_verified else MATH_FAIL
-    z = cocycle_space(rack, args.degree)
-    b = coboundary_space(rack, args.degree)
-    e = entropic_basis(rack, args.degree)
-    payload = {**provenance(rack), "degree": args.degree,
-               "dimZ": z.dim, "dimB": b.dim, "dimE": e.dim,
-               "dimH": z.dim - b.dim}
-    emit(args, payload, [
-        f"degree {args.degree}: dim Z = {z.dim}, dim B = {b.dim}, "
-        f"dim E = {e.dim}, dim H = {z.dim - b.dim}"])
-    return OK
+    d = args.degree
+    report = classify(rack, d)
+    payload = {**provenance(rack), **report.to_json()}
+    if d == 2:
+        lines = [f"dim C2 = {rack.size ** 4}",
+                 f"dim Z2 = {report.dim_z}   dim B2 = {report.dim_b}",
+                 f"dim E2 = {report.dim_e}   dim H2 = {report.dim_h}",
+                 "decomposition Z2 = E2 (+) B2: "
+                 + ("verified" if report.verified else "FAILED")]
+    else:
+        lines = [f"degree {d}: dim Z = {report.dim_z}, "
+                 f"dim B = {report.dim_b}, dim E = {report.dim_e}, "
+                 f"dim H = {report.dim_h}"]
+    emit(args, payload, lines)
+    if not report.verified:
+        print(f"decomposition Z{d} = E{d} (+) B{d} FAILED", file=sys.stderr)
+    return OK if report.verified else MATH_FAIL
 
 
 def cmd_entropic_basis(args) -> int:
@@ -263,10 +258,9 @@ def cmd_reproduce(args) -> int:
             transpose=False)
         detail.append("9x9 operator matrix of the transposition quandle")
     elif args.example == "d3-rigid":
-        report = classify_h2(rack_from_name("dihedral:3"))
-        ok = (report.dim_e2 == 1 and report.dim_h2 == 1
-              and report.decomposition_verified)
-        detail.append(f"dim E2 = {report.dim_e2}, dim H2 = {report.dim_h2}")
+        report = classify(rack_from_name("dihedral:3"), 2)
+        ok = report.dim_e == 1 and report.dim_h == 1 and report.verified
+        detail.append(f"dim E2 = {report.dim_e}, dim H2 = {report.dim_h}")
     elif args.example == "d4-16":
         rack = square_reflection_quandle()
         ok = _reproduce_matrix(
@@ -274,9 +268,9 @@ def cmd_reproduce(args) -> int:
             reference.ones_positions(
                 reference.SQUARE_REFLECTION_MATRIX_ROWS_AS_SOURCE),
             transpose=True)
-        report = classify_h2(rack)
-        ok = ok and report.dim_e2 == 16 and report.dim_h2 == 16
-        detail.append(f"16x16 matrix and dim E2 = {report.dim_e2}")
+        report = classify(rack, 2)
+        ok = ok and report.dim_e == 16 and report.dim_h == 16
+        detail.append(f"16x16 matrix and dim E2 = {report.dim_e}")
     elif args.example == "d4-trace":
         rack = square_reflection_quandle()
         trials = [[Fraction(0)] * 16]
@@ -354,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="cocycle/coboundary dimensions")
     p.add_argument("--rack", required=True)
-    p.add_argument("--degree", type=int, default=2, choices=[1, 2])
+    p.add_argument("--degree", type=int, default=2, choices=[1, 2, 3])
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("entropic-basis", help="orbit basis of entropic maps")

@@ -32,18 +32,12 @@ distinct value), and cocycle_space, which deduplicates the nonzero rows
 of each chunk, up to sign, as it comes and hands the distinct rows
 straight to the certified modular kernel without forming the matrix.
 
-classify_h2 proves Z^2 = E^2 (+) B^2 on integers, with no elimination
-over Q.  The orbit indicators of E^1 and E^2 are independent, and the
-integer columns of d^1, read off its chunks, span B^2.  d^1 must kill
-the E^1 indicators and d^2 the E^2 indicators and the d^1 columns,
-exactly.  Rank mod P is at most rank over Q, so a rank mod P of the
-stacked E^2 indicators and d^1 columns of dim E^2 + n^2 - dim E^1 fixes
-dim B^2 = n^2 - dim E^1 and E^2 (+) B^2, and distinct rows of d^2 of
-rank mod P n^4 - dim(E^2 + B^2) prove dim Z^2 <= dim(E^2 + B^2).  The
-chunks of d^2 are eliminated mod P as they come and assembly stops at
-the first prefix that reaches that rank, in practice within two of the
-n chunks.  If a check or a rank falls short, exact elimination over Q
-and the certified kernel give the report.
+classify(rack, d), d = 1..3, proves Z^d = E^d (+) B^d on integers, with
+no elimination over Q, from the orbit indicators of E^d and the integer
+columns of d^(d-1), read off its chunks (its docstring has the proof).
+The chunks of d^d are eliminated mod P as they come, and assembly stops
+at the first prefix that reaches the rank the proof needs, in practice
+within two of the n chunks.
 
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
@@ -339,12 +333,10 @@ class EntropicBasis:
                                    ((x, y, 1) for x, y in orbit))
                 for orbit in self.orbits]
 
-    def vectors(self) -> list[Vec]:
-        return [c.to_vector() for c in self.cochains()]
-
     def subspace(self) -> Subspace:
         ambient = self.rack_size ** (2 * self.degree)
-        return Subspace.from_vectors(ambient, self.vectors())
+        return Subspace.from_vectors(
+            ambient, [c.to_vector() for c in self.cochains()])
 
     def to_json(self) -> dict:
         return {"rack_size": self.rack_size, "degree": self.degree,
@@ -436,23 +428,6 @@ def symmetrize(rack: Rack, f: Cochain) -> Cochain:
     return Cochain(n, d, {k: scale * v for k, v in acc.items() if v})
 
 
-@dataclass(frozen=True)
-class H2Report:
-    rack_size: int
-    dim_c2: int
-    dim_z2: int
-    dim_b2: int
-    dim_e2: int
-    dim_h2: int
-    decomposition_verified: bool
-
-    def to_json(self) -> dict:
-        return {"dimC2": self.dim_c2, "dimZ2": self.dim_z2,
-                "dimB2": self.dim_b2, "dimE2": self.dim_e2,
-                "dimH2": self.dim_h2,
-                "verified": self.decomposition_verified}
-
-
 def _columns(rack: Rack, degree: int) -> list[dict[int, int]]:
     """The columns of the degree-d coboundary matrix as integer vectors
     {row: value}, read off the rows of _matrix_rows."""
@@ -486,55 +461,84 @@ def _kills(rack: Rack, degree: int, vectors) -> bool:
         for row in chunk.values())
 
 
-def classify_h2(rack: Rack) -> H2Report:
-    """Dimensions of Z^2, B^2, E^2 and the direct-sum verification.
+def span_columns(rack: Rack, degree: int
+                 ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """(indicators, columns), indexed as in Cochain.to_vector: the orbit
+    indicators of E^d, independent as their supports are disjoint, and
+    the integer columns of d^(d-1), which span B^d (none in degree 1)."""
+    indicators = _indicators(entropic_basis(rack, degree))
+    return indicators, _columns(rack, degree - 1) if degree > 1 else []
+
+
+@dataclass(frozen=True)
+class CohomologyReport:
+    """Dimensions of Z^d, B^d and E^d of a rack; verified is the exact
+    confirmation of Z^d = E^d (+) B^d."""
+
+    rack_size: int
+    degree: int
+    dim_z: int
+    dim_b: int
+    dim_e: int
+    verified: bool
+
+    @property
+    def dim_h(self) -> int:
+        return self.dim_z - self.dim_b
+
+    def to_json(self) -> dict:
+        if self.degree == 2:
+            return {"dimC2": self.rack_size ** 4, "dimZ2": self.dim_z,
+                    "dimB2": self.dim_b, "dimE2": self.dim_e,
+                    "dimH2": self.dim_h, "verified": self.verified}
+        return {"degree": self.degree, "dimZ": self.dim_z,
+                "dimB": self.dim_b, "dimE": self.dim_e, "dimH": self.dim_h}
+
+
+def classify(rack: Rack, degree: int) -> CohomologyReport:
+    """Dimensions of Z^d, B^d and E^d, d = 1..3, and the direct-sum
+    verification.
 
     Over the rationals the cocycles always split as the entropic part
-    plus the coboundaries; decomposition_verified reports the exact
-    confirmation on this rack.  The split is proved on integers, with
-    no elimination over Q, from the orbit indicators of E^1 and E^2
-    (independent, having disjoint supports) and the integer columns of
-    d^1, which span B^2:
-      1. d^1 kills the E^1 indicators exactly, so dim B^2 = rank d^1 is
-         at most n^2 - dim E^1;
-      2. d^2 kills the E^2 indicators and the d^1 columns exactly, so
-         E^2 + B^2 lies in Z^2;
-      3. the stacked E^2 indicators and d^1 columns have rank mod P at
-         least dim E^2 + n^2 - dim E^1.  Since rank_P <= rank_Q for
-         integer vectors, that gives dim B^2 = n^2 - dim E^1 and
-         E^2 meets B^2 only in 0;
-      4. the distinct rows of d^2, read chunk by chunk, reach rank mod P
-         n^4 - dim(E^2 + B^2), so dim Z^2 <= dim(E^2 + B^2); the
+    plus the coboundaries; verified reports the exact confirmation on
+    this rack.  dim B^1 = 0 and, for d >= 2, dim B^d = rank d^(d-1) =
+    n^(2d-2) - dim Z^(d-1), exact whichever path classify(rack, d - 1)
+    took.  The split is then proved on integers, with no elimination
+    over Q, from the vectors of span_columns, whose span is E^d + B^d:
+      1. d^d kills every one of them exactly, so E^d + B^d lies in Z^d;
+      2. they have rank mod P at least dim E^d + dim B^d.  Since
+         rank_P <= rank_Q for integer vectors, E^d meets B^d only in 0;
+      3. the distinct rows of d^d, read chunk by chunk, reach rank mod P
+         n^(2d) - dim(E^d + B^d), so dim Z^d <= dim(E^d + B^d); the
          assembly stops at the first prefix that does.
-    If any check or rank falls short, the report comes from exact
-    elimination instead: B^2 as the image of d^1, E^2 and their sum and
-    intersection over Q, and dim Z^2 from the certified kernel of
-    cocycle_space.  Raises SizeOverflow, before building anything, above
-    size 14, where the degree-2 coboundary matrix exceeds
-    DEFAULT_ENTRY_LIMIT.
+    If a check or a rank falls short, the report comes from exact
+    elimination instead: B^d as the image of d^(d-1), E^d and their sum
+    and intersection over Q, and dim Z^d from the certified kernel of
+    cocycle_space.  Raises SizeOverflow, before building anything, where
+    the degree-d coboundary matrix exceeds DEFAULT_ENTRY_LIMIT: above
+    size 56, 14 and 7 in degrees 1, 2 and 3.
     """
     n = rack.size
     # _matrix_rows runs its size guard here, before anything is built
     rows = linalg.unique_rows(
-        row for chunk in _matrix_rows(rack, 2, _alternating(2))
+        row for chunk in _matrix_rows(rack, degree, _alternating(degree))
         for row in chunk.values())
-    basis = entropic_basis(rack, 2)
-    ind1 = _indicators(entropic_basis(rack, 1))
-    ind2 = _indicators(basis)
-    dim_b2 = n * n - len(ind1)
-    dim_sum = len(ind2) + dim_b2
-    vectors = ind2 + _columns(rack, 1)  # span E^2 + B^2
+    dim_b = 0 if degree == 1 else (
+        n ** (2 * degree - 2) - classify(rack, degree - 1).dim_z)
+    indicators, columns = span_columns(rack, degree)
+    dim_sum = len(indicators) + dim_b
+    vectors = indicators + columns
     stacked = (tuple(x for item in v.items() for x in item) for v in vectors)
-    if (_kills(rack, 1, ind1) and _kills(rack, 2, vectors)
+    if (_kills(rack, degree, vectors)
             and linalg.rank_reaches(stacked, dim_sum)
-            and linalg.rank_reaches(rows, n ** 4 - dim_sum)):
-        return H2Report(n, n ** 4, dim_sum, dim_b2, len(ind2), len(ind2),
-                        True)
-    b2 = coboundary_space(rack, 2)
-    e2 = basis.subspace()
-    dim_sum, dim_int = linalg.sum_and_intersection_dims(e2, b2)
-    dim_z2 = cocycle_space(rack, 2).dim
-    split = dim_int == 0 and _kills(rack, 2, map(
-        linalg.integer_multiple, e2.basis + b2.basis))
-    return H2Report(n, n ** 4, dim_z2, b2.dim, e2.dim, dim_z2 - b2.dim,
-                    split and dim_sum == dim_z2)
+            and linalg.rank_reaches(rows, n ** (2 * degree) - dim_sum)):
+        return CohomologyReport(n, degree, dim_sum, dim_b, len(indicators),
+                                True)
+    b = coboundary_space(rack, degree)
+    e = entropic_basis(rack, degree).subspace()
+    dim_sum, dim_int = linalg.sum_and_intersection_dims(e, b)
+    dim_z = cocycle_space(rack, degree).dim
+    split = dim_int == 0 and _kills(rack, degree, map(
+        linalg.integer_multiple, e.basis + b.basis))
+    return CohomologyReport(n, degree, dim_z, b.dim, e.dim,
+                            split and dim_sum == dim_z)

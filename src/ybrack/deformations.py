@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, reference
-from .cohomology import (Cochain, EntropicBasis, coboundary_matrix,
-                         entropic_basis, is_entropic)
+from .cohomology import (Cochain, EntropicBasis, entropic_basis,
+                         is_entropic, span_columns)
 from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
 from .truncpoly import PolyMat, TruncPoly
@@ -255,18 +255,13 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
                 f"input fails the Yang-Baxter equation at triple "
                 f"{verdict.witness}")
 
-    basis = entropic_basis(rack, 2)
-    ind_vectors = [c.to_vector() for c in basis.cochains()]
-    d1 = coboundary_matrix(rack, 1)
-    # columns: entropic indicators first, then the coboundary image
-    ncols = len(ind_vectors) + d1.cols
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j, vec in enumerate(ind_vectors):
-        for i, v in vec.items():
-            entries[(i, j)] = v
-    for (i, j), v in d1.entries.items():
-        entries[(i, len(ind_vectors) + j)] = v
-    split = linalg.solver(SparseMat(n ** 4, ncols, entries))
+    # columns: entropic indicators first, then the coboundary image, as
+    # Fractions, for the solver divides
+    indicators, columns = span_columns(rack, 2)
+    vectors = indicators + columns
+    split = linalg.solver(SparseMat(n ** 4, len(vectors), {
+        (i, j): Fraction(v) for j, vec in enumerate(vectors)
+        for i, v in vec.items()}))
 
     back = {i: j for i, j in cq.mat.constant.entries}
     alpha = PolyMat.identity(n, order)
@@ -281,8 +276,8 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
             raise DecompositionError(
                 f"degree-{k} term is not entropic + coboundary")
         g = Cochain.from_vector(n, 1, {
-            idx - len(ind_vectors): v for idx, v in solution.items()
-            if idx >= len(ind_vectors)})
+            idx - len(indicators): v for idx, v in solution.items()
+            if idx >= len(indicators)})
         if g.is_zero():
             continue
         step = Equivalence(PolyMat.identity(n, order).add(

@@ -185,22 +185,26 @@ def _checked_size(n) -> int:
 def validate_rack(table, quandle_required: bool = False) -> Rack:
     """Check the rack axioms and return the validated Rack.
 
-    Raises SizeOverflow for a table over _checked_size, then RackError
-    with a witness on the first violation found: a non-bijective right
-    translation, a self-distributivity triple, or a non-idempotent
-    element when a quandle is required.
+    Raises RackSpecError unless the table is a list (or tuple) of n
+    lists of n ints in 0..n-1, bools excluded; SizeOverflow for a table over
+    _checked_size; then RackError with a witness on the first violation
+    found: a non-bijective right translation, a self-distributivity
+    triple, or a non-idempotent element when a quandle is required.
     """
+    if not isinstance(table, (list, tuple)):
+        raise RackSpecError("rack table must be a list of rows")
     n = _checked_size(len(table))
     if n == 0:
         raise RackError("empty rack is not supported")
     rows = []
     for x, row in enumerate(table):
-        row = tuple(int(v) for v in row)
+        if not isinstance(row, (list, tuple)):
+            raise RackSpecError(f"row {x} is not a list")
         if len(row) != n:
             raise RackSpecError(f"row {x} has length {len(row)}, expected {n}")
-        if any(not (0 <= v < n) for v in row):
-            raise RackSpecError(f"row {x} has an entry out of range")
-        rows.append(row)
+        if any(type(v) is not int or not 0 <= v < n for v in row):
+            raise RackSpecError(f"row {x} has a non-int or out-of-range entry")
+        rows.append(tuple(row))
     tab = tuple(rows)
     for y in range(n):
         col = [tab[x][y] for x in range(n)]
@@ -373,6 +377,7 @@ def rack_from_json(data: dict) -> Rack:
     if not isinstance(data, dict) or "table" not in data:
         raise RackSpecError("rack JSON must contain a 'table' field")
     table = data["table"]
-    if "size" in data and len(table) != data["size"]:
+    if ("size" in data and isinstance(table, list)
+            and len(table) != data["size"]):
         raise RackSpecError("declared size does not match table")
     return validate_rack(table)

@@ -13,7 +13,7 @@ import pytest
 from conftest import (corpus, entropic_operator, rand_cochain, rand_cocycle,
                       rand_frac, unit_perturbation)
 from ybrack import linalg
-from ybrack.cohomology import (classify_h2, coboundary, coboundary_matrix,
+from ybrack.cohomology import (classify, coboundary, coboundary_matrix,
                                coboundary_space, cocycle_space,
                                entropic_basis, partial_coboundary_matrix,
                                symmetrize)
@@ -71,14 +71,14 @@ def test_criterion_02_square_reflection_matrix():
 
 
 def test_criterion_03_square_reflection_sixteen_fold():
-    report = classify_h2(square_reflection_quandle())
-    ok = report.dim_e2 == 16 and report.dim_h2 == 16
+    report = classify(square_reflection_quandle(), 2)
+    ok = report.dim_e == 16 and report.dim_h == 16
     record(3, "square reflections: dim E2 = dim H2 = 16", ok)
 
 
 def test_criterion_04_transposition_quandle_rigidity():
-    report = classify_h2(rack_from_name("conj:S3:(12),(13),(23)"))
-    ok = report.dim_e2 == 1 and report.dim_h2 == 1
+    report = classify(rack_from_name("conj:S3:(12),(13),(23)"), 2)
+    ok = report.dim_e == 1 and report.dim_h == 1
     record(4, "transposition quandle: dim E2 = dim H2 = 1 (rigidity)", ok)
 
 

@@ -20,6 +20,10 @@ FILES = {name: json.dumps(data) for name, data in {
     "not_a_rack.json": {"table": [[0, 0], [0, 0], [1]]},
     "axiom_fails.json": {"table": [[1, 1], [0, 0]]},
     "table_text.json": {"table": "abc"},
+    "table_number.json": {"table": 5},
+    "table_null.json": {"table": None},
+    "table_flat.json": {"table": [1, 2]},
+    "table_float.json": {"table": [[0.7]]},
     "list.json": [1, 2, 3],
     "huge_trunc.json": {"dim": 1, "trunc": 10 ** 18, "entries": []},
     "bad_entry.json": {"dim": 9, "trunc": 2, "entries": [[9, 0, ["1"]]]},
@@ -52,7 +56,9 @@ MALFORMED_RACKS = ["", ":", "dihedral:", "dihedral:x", "dihedral:-3",
                    "conj:S3:(12", "conj:S3:(14)", "conj:Sx:(12)", "conj:S3:",
                    "dihedral:" + "9" * 5000, "missing.json", "@",
                    "@malformed.json", "@deep.json", "@not_a_rack.json",
-                   "@axiom_fails.json", "@table_text.json", "@list.json"]
+                   "@axiom_fails.json", "@table_text.json", "@list.json",
+                   "@table_number.json", "@table_null.json",
+                   "@table_flat.json", "@table_float.json"]
 OVERSIZED_RACKS = ["dihedral:1000", "trivial:100000", "conj:S216:(12)",
                    "dihedral:" + "9" * 30, "dihedral:15"]
 racks = st.sampled_from(WELL_FORMED_RACKS + MALFORMED_RACKS

@@ -8,8 +8,8 @@ from conftest import (CORPUS_RACKS, rand_cochain, rand_cocycle,
                       rand_rational_matrix)
 from ybrack import cohomology, linalg
 from ybrack.cli import main
-from ybrack.cohomology import (Cochain, H2Report, classify_h2, coboundary,
-                               coboundary_i, coboundary_matrix,
+from ybrack.cohomology import (Cochain, CohomologyReport, classify,
+                               coboundary, coboundary_i, coboundary_matrix,
                                coboundary_space, cocycle_space, decode,
                                encode, entropic_basis, is_entropic,
                                partial_coboundary_matrix, symmetrize)
@@ -180,7 +180,7 @@ def test_size_guard():
     with pytest.raises(ValueError):
         coboundary_matrix(dihedral_rack(3), 4)
     with pytest.raises(SizeOverflow):
-        classify_h2(dihedral_rack(15))
+        classify(dihedral_rack(15), 2)
 
 
 def test_classify_h2_guard_runs_before_building_anything(monkeypatch):
@@ -189,8 +189,10 @@ def test_classify_h2_guard_runs_before_building_anything(monkeypatch):
                  "_partial_tables"):
         monkeypatch.setattr(cohomology, name,
                             lambda *args, name=name: built.append(name))
-    with pytest.raises(SizeOverflow):
-        classify_h2(dihedral_rack(15))
+    # the first size whose degree-d coboundary matrix exceeds the limit
+    for degree, size in [(1, 57), (2, 15), (3, 8)]:
+        with pytest.raises(SizeOverflow):
+            classify(dihedral_rack(size), degree)
     assert built == []
 
 
@@ -337,33 +339,34 @@ def test_symmetrize_difference_is_coboundary_for_cocycles():
             assert b2.contains_vec(diff.to_vector())
 
 
-# -- degree-2 classification ---------------------------------------------------
+# -- classification -----------------------------------------------------------
 
 def test_classify_h2_examples():
-    rep = classify_h2(dihedral_rack(3))
-    assert (rep.dim_e2, rep.dim_h2) == (1, 1)
-    assert rep.decomposition_verified
-    rep = classify_h2(square_reflection_quandle())
-    assert (rep.dim_e2, rep.dim_h2) == (16, 16)
-    assert rep.decomposition_verified
-    rep = classify_h2(trivial_rack(2))
-    assert (rep.dim_z2, rep.dim_b2, rep.dim_e2) == (16, 0, 16)
-    assert rep.decomposition_verified
+    rep = classify(dihedral_rack(3), 2)
+    assert (rep.dim_e, rep.dim_h) == (1, 1)
+    assert rep.verified
+    rep = classify(square_reflection_quandle(), 2)
+    assert (rep.dim_e, rep.dim_h) == (16, 16)
+    assert rep.verified
+    rep = classify(trivial_rack(2), 2)
+    assert (rep.dim_z, rep.dim_b, rep.dim_e) == (16, 0, 16)
+    assert rep.verified
     # the first size above the old size-8 default
-    rep = classify_h2(dihedral_rack(9))
-    assert (rep.dim_z2, rep.dim_b2, rep.dim_e2, rep.dim_h2) == (81, 80, 1, 1)
-    assert rep.decomposition_verified
+    rep = classify(dihedral_rack(9), 2)
+    assert (rep.dim_z, rep.dim_b, rep.dim_e, rep.dim_h) == (81, 80, 1, 1)
+    assert rep.verified
     # the figures of the full-kernel computation
-    rep = classify_h2(dihedral_rack(12))
-    assert (rep.dim_z2, rep.dim_b2, rep.dim_e2, rep.dim_h2) == \
+    rep = classify(dihedral_rack(12), 2)
+    assert (rep.dim_z, rep.dim_b, rep.dim_e, rep.dim_h) == \
         (156, 140, 16, 16)
-    assert rep.decomposition_verified
+    assert rep.verified
 
 
 def test_classify_h2_falls_back_when_the_rank_is_not_reached(
         monkeypatch, capsys):
-    # without one orbit E^2 + B^2 is too small for any rank to certify
-    # it, so dim Z^2 comes from the kernel and the split fails
+    # without one orbit in each degree E + B is too small for any rank to
+    # certify it, so degrees 1 and 2 fall back, dim Z^2 comes from the
+    # kernel and the split fails
     rack = dihedral_rack(4)
     dim_z2 = cocycle_space(rack, 2).dim
     entropic = cohomology.entropic_basis
@@ -378,33 +381,38 @@ def test_classify_h2_falls_back_when_the_rank_is_not_reached(
     monkeypatch.setattr(cohomology, "entropic_basis", short)
     monkeypatch.setattr(cohomology, "cocycle_space",
                         lambda *args: calls.append(args) or kernel(*args))
-    rep = classify_h2(rack)
-    assert not rep.decomposition_verified
-    assert rep.dim_z2 == dim_z2 and rep.dim_h2 == dim_z2 - rep.dim_b2
-    assert len(calls) == 1
+    rep = classify(rack, 2)
+    assert not rep.verified
+    assert rep.dim_z == dim_z2 and rep.dim_h == dim_z2 - rep.dim_b
+    assert [degree for _, degree in calls] == [1, 2]
     assert main(["cohomology", "--rack", "dihedral:4", "--degree", "2"]) == 1
     assert "FAILED" in capsys.readouterr().out
+    # a failed split is a mathematical failure in every degree
+    for degree in ("1", "3"):
+        assert main(["cohomology", "--rack", "dihedral:4",
+                     "--degree", degree]) == 1
+        assert "FAILED" in capsys.readouterr().err
 
 
 def _recorded(monkeypatch, module, name, calls):
-    """Wrap module.name so that each call appends (args, result)."""
+    """Wrap module.name so that each call appends (name, args, result)."""
     real = getattr(module, name)
 
     def wrapper(*args):
         result = real(*args)
-        calls.append((args, result))
+        calls.append((name, args, result))
         return result
     monkeypatch.setattr(module, name, wrapper)
 
 
 # the exact reports on these racks, which the fallback must reproduce
-DIHEDRAL_3_REPORT = H2Report(3, 81, 9, 8, 1, 1, True)
-DIHEDRAL_4_REPORT = H2Report(4, 256, 28, 12, 16, 16, True)
+DIHEDRAL_3_REPORT = CohomologyReport(3, 2, 9, 8, 1, True)
+DIHEDRAL_4_REPORT = CohomologyReport(4, 2, 28, 12, 16, True)
 
 
 def test_classify_h2_checks_that_coboundaries_are_cocycles(monkeypatch):
-    # a planted non-cocycle among the d^1 columns fails the containment
-    # check, so the rank of d^2 is never consulted, and the exact
+    # a planted non-cocycle among the d^1 columns fails the degree-2
+    # containment check, so no degree-2 rank is consulted, and the exact
     # fallback, which does not read those columns, reports the true dims
     rack = dihedral_rack(3)
     z2 = cocycle_space(rack, 2)
@@ -413,23 +421,25 @@ def test_classify_h2_checks_that_coboundaries_are_cocycles(monkeypatch):
     columns = cohomology._columns
     monkeypatch.setattr(cohomology, "_columns",
                         lambda rack, degree: columns(rack, degree) + [{v: 1}])
-    kills, kernels = [], []
-    _recorded(monkeypatch, cohomology, "_kills", kills)
+    checks, kernels = [], []
+    _recorded(monkeypatch, cohomology, "_kills", checks)
+    _recorded(monkeypatch, linalg, "rank_reaches", checks)
     _recorded(monkeypatch, cohomology, "cocycle_space", kernels)
-    monkeypatch.setattr(linalg, "rank_reaches",
-                        lambda *args: pytest.fail("rank consulted"))
-    rep = classify_h2(rack)
-    assert [(args[1], ok) for args, ok in kills[:2]] == [(1, True),
-                                                         (2, False)]
-    assert len(kernels) == 1
+    rep = classify(rack, 2)
+    # degree 1 certifies with its containment check and both ranks; after
+    # the failed degree-2 check only the fallback's own check runs
+    assert [(name, args[1], ok) for name, args, ok in checks] == [
+        ("_kills", 1, True), ("rank_reaches", 1, True),
+        ("rank_reaches", 8, True), ("_kills", 2, False), ("_kills", 2, True)]
+    assert [args[1] for _, args, _ in kernels] == [2]
     assert rep == DIHEDRAL_3_REPORT
-    assert (rep.dim_z2, rep.dim_b2) == (z2.dim, coboundary_space(rack, 2).dim)
+    assert (rep.dim_z, rep.dim_b) == (z2.dim, coboundary_space(rack, 2).dim)
 
 
 def test_classify_h2_falls_back_when_an_e1_orbit_is_missing(monkeypatch):
-    # without one E^1 orbit the certificate expects dim B^2 one too large,
-    # so the rank of the stacked E^2 indicators and d^1 columns falls
-    # short; the exact fallback does not read E^1
+    # without one E^1 orbit degree 1 expects dim Z^1 one too small, so the
+    # rank of d^1 falls short and degree 1 falls back to the exact kernel;
+    # degree 2 then certifies with that exact dim Z^1
     rack = dihedral_rack(4)
     entropic = cohomology.entropic_basis
 
@@ -442,10 +452,12 @@ def test_classify_h2_falls_back_when_an_e1_orbit_is_missing(monkeypatch):
     ranks, kernels = [], []
     _recorded(monkeypatch, linalg, "rank_reaches", ranks)
     _recorded(monkeypatch, cohomology, "cocycle_space", kernels)
-    rep = classify_h2(rack)
-    # one rank consulted, the stacked one, and it fell short
-    assert [(args[1], ok) for args, ok in ranks] == [(16 + 12 + 1, False)]
-    assert len(kernels) == 1
+    rep = classify(rack, 2)
+    # degree 1: the stacked 3 indicators, then d^1 short of 16 - 3;
+    # degree 2: 16 indicators + 12 columns, then d^2 at 256 - 28
+    assert [(args[1], ok) for _, args, ok in ranks] == [
+        (3, True), (16 - 3, False), (16 + 12, True), (256 - 28, True)]
+    assert [args[1] for _, args, _ in kernels] == [1]
     assert rep == DIHEDRAL_4_REPORT
 
 
@@ -463,17 +475,22 @@ def test_classify_h2_falls_back_when_e2_meets_b2(monkeypatch):
     _recorded(monkeypatch, linalg, "rank_reaches", ranks)
     _recorded(monkeypatch, cohomology, "_kills", kills)
     _recorded(monkeypatch, cohomology, "cocycle_space", kernels)
-    rep = classify_h2(rack)
-    assert all(ok for _, ok in kills)
-    assert [(args[1], ok) for args, ok in ranks] == [(17 + 12, False)]
-    assert len(kernels) == 1
+    rep = classify(rack, 2)
+    assert all(ok for _, _, ok in kills)
+    # degree 1 certifies; the degree-2 stack falls short
+    assert [(args[1], ok) for _, args, ok in ranks] == [
+        (4, True), (16 - 4, True), (17 + 12, False)]
+    assert [args[1] for _, args, _ in kernels] == [2]
     assert rep == DIHEDRAL_4_REPORT
 
 
 def test_classify_h2_json_fields():
-    data = classify_h2(dihedral_rack(3)).to_json()
+    data = classify(dihedral_rack(3), 2).to_json()
     assert set(data) == {"dimC2", "dimZ2", "dimB2", "dimE2", "dimH2",
                          "verified"}
+    for degree in (1, 3):
+        data = classify(dihedral_rack(3), degree).to_json()
+        assert set(data) == {"degree", "dimZ", "dimB", "dimE", "dimH"}
 
 
 # -- infinitesimal correspondence ----------------------------------------------

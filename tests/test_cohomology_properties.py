@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from test_cohomology import naive_partial_coboundary
 from ybrack import linalg
 from ybrack.cohomology import (Cochain, _alternating, _matrix_rows,
-                               classify_h2, coboundary, coboundary_i,
-                               coboundary_matrix, cocycle_space,
+                               classify, coboundary, coboundary_i,
+                               coboundary_matrix, coboundary_space,
+                               cocycle_space,
                                entropic_basis, is_entropic,
                                partial_coboundary_matrix)
 from ybrack.racks import validate_rack
@@ -95,14 +96,18 @@ def test_entropic_basis_cochains_are_entropic(rack, degree):
                for c in entropic_basis(rack, degree).cochains())
 
 
-@settings(max_examples=30)
-@given(racks())
-def test_h2_splits_as_entropic_plus_coboundaries(rack):
-    rep = classify_h2(rack)
-    assert rep.decomposition_verified
-    assert rep.dim_h2 == rep.dim_e2
-    # the rank certificate against the full certified kernel
-    assert rep.dim_z2 == cocycle_space(rack, 2).dim
+@settings(max_examples=60)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(racks(max_size=4 if d < 3 else 3), st.just(d))))
+def test_h2_splits_as_entropic_plus_coboundaries(rack_degree):
+    rack, degree = rack_degree
+    rep = classify(rack, degree)
+    assert rep.verified
+    assert rep.dim_h == rep.dim_e
+    # the rank certificate against the reference spaces
+    assert (rep.dim_z, rep.dim_b, rep.dim_e) == (
+        cocycle_space(rack, degree).dim, coboundary_space(rack, degree).dim,
+        entropic_basis(rack, degree).dim)
 
 
 def naive_coboundary(rack, f):

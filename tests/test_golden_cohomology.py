@@ -1,8 +1,10 @@
-"""Golden output of `yb --format json cohomology` in degrees 1 and 2.
+"""Golden output of `yb --format json cohomology` in degrees 1 to 3.
 
 tests/golden/cohomology.json holds, per command line, the stdout and exit
 code of the Fraction-only elimination, and the sha256 of the canonical
-basis of Z^d; kernel_basis must reproduce all three byte for byte.
+basis of Z^d; classify and kernel_basis must reproduce all three byte for
+byte.  The degree-3 entries were computed from the reference spaces
+cocycle_space, coboundary_space and entropic_basis, not from classify.
 """
 
 import hashlib

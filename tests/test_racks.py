@@ -96,6 +96,17 @@ def test_out_of_range_entry_is_input_error():
         validate_rack([[0, 2], [1, 0]])
 
 
+@pytest.mark.parametrize("table", [5, None, "abc", [1, 2], [[0.7]],
+                                   [[True]], [["0"]], [[0, 1], [1, 1.0]]])
+def test_table_of_non_integers_is_input_error(table):
+    with pytest.raises(RackSpecError):
+        validate_rack(table)
+    with pytest.raises(RackSpecError):
+        rack_from_json({"table": table})
+    with pytest.raises(RackSpecError):
+        rack_from_json({"size": 2, "table": table})
+
+
 # -- conjugation quandles -------------------------------------------------
 
 def test_conjugation_quandle_transpositions_matches_dihedral():
