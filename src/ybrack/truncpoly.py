@@ -8,16 +8,22 @@ constant coefficient is nonzero, and the inverse is computed by the
 geometric-series recurrence, order by order.
 
 PolyMat stores a matrix over Q[h]/(h^N) coefficient-major, as one
-rational SparseMat per power of h, so its products are truncated
-convolutions of rational matrix products.  This module is the only one
-that knows that layout; other modules read coefficient matrices or
-per-entry views.
+rational SparseMat per power of h.  This module is the only one that
+knows that layout; other modules read coefficient matrices or per-entry
+views.  Sums, scalings, Kronecker products and inverses stay rational.
+Products run on one integer slot kernel, _apply_slots: a matrix is
+rescaled once to integer coefficient matrices in u = h/D and applied to
+sparse vectors column by column, to one tensor slot or to two adjacent
+ones; _word_matrix writes the result back as fractions.  compose and
+power use it on a single slot, and yangbaxter's check_ybe, braid_rep
+and conjugate on tensor powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .linalg import (DEFAULT_ENTRY_LIMIT, DimensionMismatch, SizeOverflow,
                      SparseMat, invert_rational)
@@ -238,12 +244,13 @@ class PolyMat:
         return self.parts[0]
 
     def compose(self, other: "PolyMat") -> "PolyMat":
-        """self after other (matrix product self @ other)."""
+        """self after other (matrix product self @ other), on the integer
+        slot kernel: a word of two letters on one strand of width dim,
+        other acting first."""
         if self.dim != other.dim or self.order != other.order:
             raise DimensionMismatch("compose shape/order mismatch")
-        return PolyMat(self.dim, self.order, _convolve(
-            self.parts, other.parts, SparseMat.matmul,
-            SparseMat(self.dim, self.dim)))
+        return _word_matrix([self, other], [(1, 1), (0, 1)],
+                            self.dim, self.order)
 
     def add(self, other: "PolyMat") -> "PolyMat":
         if self.dim != other.dim or self.order != other.order:
@@ -381,3 +388,91 @@ def _convolve(xs, ys, product, empty: SparseMat) -> list[SparseMat]:
                 acc = acc.add(p) if acc.entries else p
         out.append(acc)
     return out
+
+
+def _scales(mat: PolyMat) -> tuple[int, int]:
+    """(d0, D) for the integer form of mat: d0 is the lcm of the
+    denominators of the constant term, D that of the denominators of the
+    higher h-coefficients of d0 * mat."""
+    d0 = 1
+    for a in mat.constant.entries.values():
+        d0 = lcm(d0, a.denominator)
+    big = 1
+    for k in range(1, mat.order):
+        for a in mat.coefficient_matrix(k).entries.values():
+            big = lcm(big, a.denominator // gcd(a.denominator, d0))
+    return d0, big
+
+
+def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]]]]:
+    """Coefficient-major integer matrices C_k = d0 * big^k * c_k, with c_k
+    the h^k coefficient of mat, so that mat = (1/d0) sum_k u^k C_k for
+    u = h/big.  form[k][col] lists the (row, C_k[row, col]) nonzeros;
+    big must be a multiple of the D of _scales."""
+    form = [[[] for _ in range(mat.dim)] for _ in range(mat.order)]
+    for k, cols in enumerate(form):
+        scale = d0 * big ** k
+        for (r, c), a in mat.coefficient_matrix(k).entries.items():
+            cols[c].append((r, a.numerator * (scale // a.denominator)))
+    return form
+
+
+def _apply_slots(form, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Apply an integer form of width nn to the tensor slots whose lowest
+    has weight base: an operator acts on two adjacent slots (nn = n^2),
+    a map on V on one (nn = n).
+
+    vec is coefficient-major: vec[k] maps a basis index to its integer
+    u^k coefficient, and products of degree >= len(vec) are dropped.  A
+    basis index splits as e = (hi * nn + pair) * base + lo, and the form
+    acts on pair.
+    """
+    nn = len(form[0])
+    order = len(vec)
+    out: list[dict[int, int]] = [{} for _ in range(order)]
+    for k2, part in enumerate(vec):
+        for e, a in part.items():
+            q, lo = divmod(e, base)
+            pair = q % nn
+            rest = (q - pair) * base + lo
+            for k1 in range(order - k2):
+                dst = out[k1 + k2]
+                for row, c in form[k1][pair]:
+                    key = rest + row * base
+                    dst[key] = dst.get(key, 0) + c * a
+    return [{e: a for e, a in part.items() if a} for part in out]
+
+
+def _apply_word(forms, word, vec):
+    for m, base in word:
+        vec = _apply_slots(forms[m], base, vec)
+    return vec
+
+
+def _basis_vector(j: int, order: int) -> list[dict[int, int]]:
+    return [{j: 1}] + [{} for _ in range(order - 1)]
+
+
+def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
+    """Matrix of a word of (form, base) steps on mats, built column by
+    column from the basis vectors.  All forms share one u = h/D, so that
+    their products stay in u, and the integer result is d times the
+    rational one, d the product of the d0 of the letters."""
+    scales = [_scales(m) for m in mats]
+    big = lcm(*(b for _, b in scales))
+    forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
+    d = prod(scales[m][0] for m, _ in word)
+    dens = [d * big ** j for j in range(order)]
+    # entries repeat across columns: build each Fraction once
+    fracs: dict[tuple[int, int], Fraction] = {}
+    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
+    for j in range(dim):
+        vec = _apply_word(forms, word, _basis_vector(j, order))
+        for deg, (part, den) in enumerate(zip(vec, dens)):
+            dst = parts[deg]
+            for i, a in part.items():
+                f = fracs.get((a, deg))
+                if f is None:
+                    f = fracs[(a, deg)] = Fraction(a, den)
+                dst[(i, j)] = f
+    return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))

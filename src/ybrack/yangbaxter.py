@@ -9,22 +9,22 @@ The rack operator c_Q sends x tensor y to y tensor (x*y); the axiom that
 right translations are bijections makes it a permutation of the basis,
 and self-distributivity makes it a Yang-Baxter operator.
 
-One integer slot kernel, _apply_slots, serves check_ybe, braid_rep and
-conjugate: it applies a map in integer, coefficient-major form to
-adjacent tensor slots, column by column, so no product of dense tensor
-powers is ever formed.
+check_ybe, braid_rep and conjugate run on the integer slot kernel of
+truncpoly (which also serves PolyMat.compose): it applies a map in
+integer, coefficient-major form to adjacent tensor slots, column by
+column, so no product of dense tensor powers is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
 
 from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, DimensionMismatch,
                      SizeOverflow, SparseMat, power_exceeds)
 from .racks import Rack
-from .truncpoly import PolyMat, TruncPoly
+from .truncpoly import (PolyMat, TruncPoly, _apply_word, _basis_vector,
+                        _int_form, _scales, _word_matrix)
 
 
 @dataclass(frozen=True)
@@ -128,100 +128,12 @@ def build_jones(q, trunc: int = 1) -> YBOperator:
     return YBOperator(2, mat)
 
 
-def _scales(mat: PolyMat) -> tuple[int, int]:
-    """(d0, D) for the integer form of mat: d0 is the lcm of the
-    denominators of the constant term, D that of the denominators of the
-    higher h-coefficients of d0 * mat."""
-    d0 = 1
-    for a in mat.constant.entries.values():
-        d0 = lcm(d0, a.denominator)
-    big = 1
-    for k in range(1, mat.order):
-        for a in mat.coefficient_matrix(k).entries.values():
-            big = lcm(big, a.denominator // gcd(a.denominator, d0))
-    return d0, big
-
-
-def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]]]]:
-    """Coefficient-major integer matrices C_k = d0 * big^k * c_k, with c_k
-    the h^k coefficient of mat, so that mat = (1/d0) sum_k u^k C_k for
-    u = h/big.  form[k][col] lists the (row, C_k[row, col]) nonzeros;
-    big must be a multiple of the D of _scales."""
-    form = [[[] for _ in range(mat.dim)] for _ in range(mat.order)]
-    for k, cols in enumerate(form):
-        scale = d0 * big ** k
-        for (r, c), a in mat.coefficient_matrix(k).entries.items():
-            cols[c].append((r, a.numerator * (scale // a.denominator)))
-    return form
-
-
-def _apply_slots(form, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Apply an integer form of width nn to the tensor slots whose lowest
-    has weight base: an operator acts on two adjacent slots (nn = n^2),
-    a map on V on one (nn = n).
-
-    vec is coefficient-major: vec[k] maps a basis index to its integer
-    u^k coefficient, and products of degree >= len(vec) are dropped.  A
-    basis index splits as e = (hi * nn + pair) * base + lo, and the form
-    acts on pair.
-    """
-    nn = len(form[0])
-    order = len(vec)
-    out: list[dict[int, int]] = [{} for _ in range(order)]
-    for k2, part in enumerate(vec):
-        for e, a in part.items():
-            q, lo = divmod(e, base)
-            pair = q % nn
-            rest = (q - pair) * base + lo
-            for k1 in range(order - k2):
-                dst = out[k1 + k2]
-                for row, c in form[k1][pair]:
-                    key = rest + row * base
-                    dst[key] = dst.get(key, 0) + c * a
-    return [{e: a for e, a in part.items() if a} for part in out]
-
-
 def _braid_word(n: int, strands: int, letters) -> list[tuple[int, int]]:
     """A braid word on the strands-fold tensor power as (form, base)
     steps in the order they act, the last letter first: form 0 is c,
     form 1 its inverse, and base the weight of the lower of the slots."""
     return [(int(letter < 0), n ** (strands - 1 - abs(letter)))
             for letter in reversed(letters)]
-
-
-def _apply_word(forms, word, vec):
-    for m, base in word:
-        vec = _apply_slots(forms[m], base, vec)
-    return vec
-
-
-def _basis_vector(j: int, order: int) -> list[dict[int, int]]:
-    return [{j: 1}] + [{} for _ in range(order - 1)]
-
-
-def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
-    """Matrix of a word of (form, base) steps on mats, built column by
-    column from the basis vectors.  All forms share one u = h/D, so that
-    their products stay in u, and the integer result is d times the
-    rational one, d the product of the d0 of the letters."""
-    scales = [_scales(m) for m in mats]
-    big = lcm(*(b for _, b in scales))
-    forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
-    d = prod(scales[m][0] for m, _ in word)
-    dens = [d * big ** j for j in range(order)]
-    # entries repeat across columns: build each Fraction once
-    fracs: dict[tuple[int, int], Fraction] = {}
-    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
-    for j in range(dim):
-        vec = _apply_word(forms, word, _basis_vector(j, order))
-        for deg, (part, den) in enumerate(zip(vec, dens)):
-            dst = parts[deg]
-            for i, a in part.items():
-                f = fracs.get((a, deg))
-                if f is None:
-                    f = fracs[(a, deg)] = Fraction(a, den)
-                dst[(i, j)] = f
-    return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
 
 
 def check_ybe(op: YBOperator) -> YbeVerdict:

@@ -2,13 +2,16 @@
 
 The oracle holds a matrix over Q[h]/(h^N) as a list of rows of TruncPoly
 and does every operation entry by entry, so it shares nothing with
-PolyMat's coefficient-major storage but the scalar type.
+PolyMat's coefficient-major storage but the scalar type.  compose, which
+runs on the integer slot kernel, is also checked against the rational
+convolution it replaced.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ybrack.linalg import SparseMat
 from ybrack.truncpoly import PolyMat, TruncPoly
 
 PROPS = settings(max_examples=40)
@@ -142,3 +145,91 @@ def test_json_round_trip_and_entries(a):
     assert [(r, c, v) for r, c, v in m.entries()] \
         == [(r, c, v) for r, row in enumerate(a)
             for c, v in enumerate(row) if not v.is_zero()]
+
+
+def convolution_compose(a, b):
+    """The rational product compose ran before the slot kernel, kept as
+    its oracle: part k of a @ b sums a.parts[i] @ b.parts[k - i] as
+    Fraction sparse matrix products."""
+    parts = []
+    for k in range(a.order):
+        acc = SparseMat(a.dim, a.dim)
+        for i in range(k + 1):
+            acc = acc.add(a.parts[i].matmul(b.parts[k - i]))
+        parts.append(acc)
+    return PolyMat(a.dim, a.order, parts)
+
+
+def dens_fractions(dens):
+    return st.builds(Fraction, st.integers(-4, 4), st.sampled_from(dens))
+
+
+@st.composite
+def sparse_polymats(draw, dim, order, const_dens, high_dens):
+    """Matrices whose constant term has denominators from const_dens and
+    whose h-coefficients have them from high_dens; zero operands and
+    empty parts are drawn as well."""
+    if dim == 0 or draw(st.integers(0, 9)) == 0:
+        return PolyMat(dim, order)
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    parts = []
+    for k in range(order):
+        values = dens_fractions(const_dens if k == 0 else high_dens)
+        entries = draw(st.dictionaries(cells, values, max_size=dim * dim))
+        parts.append(SparseMat(dim, dim,
+                               {key: v for key, v in entries.items() if v}))
+    return PolyMat(dim, order, parts)
+
+
+# denominators shared by both, the constant term apart from the rest
+# (then d0 = lcm(2, 3, 4) and D picks up 5, 7, 25), and the reverse,
+# where D divides out the factors d0 already holds
+DENOMINATORS = st.sampled_from([
+    ((1, 2, 3), (1, 2, 3)),
+    ((1, 2, 3, 4), (5, 7, 25)),
+    ((5, 9), (1, 3, 5, 45)),
+    ((1,), (2, 4, 8)),
+])
+
+
+@st.composite
+def compose_pairs(draw):
+    dim, order = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    dens = draw(DENOMINATORS)
+    return (draw(sparse_polymats(dim, order, *dens)),
+            draw(sparse_polymats(dim, order, *dens)))
+
+
+@settings(max_examples=120)
+@given(compose_pairs())
+def test_compose_matches_rational_convolution(pair):
+    a, b = pair
+    assert a.compose(b) == convolution_compose(a, b)
+    assert b.compose(a) == convolution_compose(b, a)
+
+
+@given(st.integers(0, 6), st.integers(1, 5))
+def test_compose_with_zero_and_empty_operands(dim, order):
+    zero = PolyMat(dim, order)
+    ident = PolyMat.identity(dim, order)
+    assert zero.compose(zero) == zero
+    assert zero.compose(ident) == zero == ident.compose(zero)
+    assert ident.compose(ident) == ident
+
+
+@PROPS
+@given(sizes.flatmap(lambda s: st.tuples(invertible_dense(*s),
+                                         st.integers(-2, 4))))
+def test_power_matches_repeated_oracle_products(case):
+    a, k = case
+    m = to_polymat(a)
+    n, order = len(a), a[0][0].order
+    if k < 0:
+        ident = PolyMat.identity(n, order)
+        assert m.power(k).compose(m.power(-k)) == ident
+        assert m.power(-k).compose(m.power(k)) == ident
+        return
+    want = d_identity(n, order)
+    for _ in range(k):
+        want = d_mul(want, a)
+    assert to_dense(m.power(k)) == want
