@@ -12,11 +12,13 @@ rational SparseMat per power of h.  This module is the only one that
 knows that layout; other modules read coefficient matrices or per-entry
 views.  Sums, scalings, Kronecker products and inverses stay rational.
 Products run on one integer slot kernel, _apply_slots: a matrix is
-rescaled once to integer coefficient matrices in u = h/D and applied to
-sparse vectors column by column, to one tensor slot or to two adjacent
-ones; _word_matrix writes the result back as fractions.  compose and
-power use it on a single slot, and yangbaxter's check_ybe, braid_rep
-and conjugate on tensor powers.
+rescaled once to integer coefficient matrices in u = h/D, and each
+letter of a word (a matrix at one slot weight) is compiled once into
+its products per input power of u and slot value.  A letter acts on one
+tensor slot or on two adjacent ones, and on a whole block of basis
+columns per call; _word_matrix writes each block back as fractions.
+compose and power use it on a single slot, and yangbaxter's check_ybe,
+braid_rep and conjugate on tensor powers.
 """
 
 from __future__ import annotations
@@ -417,62 +419,82 @@ def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]
     return form
 
 
-def _apply_slots(form, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Apply an integer form of width nn to the tensor slots whose lowest
-    has weight base: an operator acts on two adjacent slots (nn = n^2),
-    a map on V on one (nn = n).
+def _compile_word(forms, word, order: int) -> dict:
+    """The letters of word: each distinct (form, base) step, compiled
+    once.  letter[k2][pair] lists the (k1 + k2, row * base, C_k1[row,
+    pair]) products of an input u^k2 coefficient at pair that stay below
+    the truncation order."""
+    return {(m, base): [[[(k1 + k2, row * base, c)
+                          for k1 in range(order - k2)
+                          for row, c in forms[m][k1][pair]]
+                         for pair in range(len(forms[m][0]))]
+                        for k2 in range(order)]
+            for m, base in set(word)}
 
-    vec is coefficient-major: vec[k] maps a basis index to its integer
-    u^k coefficient, and products of degree >= len(vec) are dropped.  A
-    basis index splits as e = (hi * nn + pair) * base + lo, and the form
-    acts on pair.
+
+def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Apply a compiled letter of width nn to the tensor slots whose
+    lowest has weight base: an operator acts on two adjacent slots
+    (nn = n^2), a map on V on one (nn = n).
+
+    vec is a block of columns of a dim x dim matrix, held
+    coefficient-major: vec[k] maps a key to its integer u^k coefficient,
+    and products of degree >= len(vec) are dropped.  Entry i of column j
+    has key j * dim + i.  As dim is a multiple of nn * base, a key splits
+    as e = (hi * nn + pair) * base + lo with the column inside hi, and
+    the letter acts on pair.
     """
-    nn = len(form[0])
-    order = len(vec)
-    out: list[dict[int, int]] = [{} for _ in range(order)]
-    for k2, part in enumerate(vec):
+    nn = len(letter[0])
+    out: list[dict[int, int]] = [{} for _ in vec]
+    for part, table in zip(vec, letter):
         for e, a in part.items():
             q, lo = divmod(e, base)
             pair = q % nn
             rest = (q - pair) * base + lo
-            for k1 in range(order - k2):
-                dst = out[k1 + k2]
-                for row, c in form[k1][pair]:
-                    key = rest + row * base
-                    dst[key] = dst.get(key, 0) + c * a
+            for deg, shift, c in table[pair]:
+                dst = out[deg]
+                key = rest + shift
+                dst[key] = dst.get(key, 0) + c * a
     return [{e: a for e, a in part.items() if a} for part in out]
 
 
-def _apply_word(forms, word, vec):
-    for m, base in word:
-        vec = _apply_slots(forms[m], base, vec)
+def _apply_word(letters, word, vec):
+    for step in word:
+        vec = _apply_slots(letters[step], step[1], vec)
     return vec
 
 
-def _basis_vector(j: int, order: int) -> list[dict[int, int]]:
-    return [{j: 1}] + [{} for _ in range(order - 1)]
+def _block(start: int, stop: int, dim: int, order: int) -> list[dict[int, int]]:
+    """The basis columns start..stop-1 of a dim x dim matrix as a block."""
+    return [{j * dim + j: 1 for j in range(start, stop)}] \
+        + [{} for _ in range(order - 1)]
 
 
 def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
-    """Matrix of a word of (form, base) steps on mats, built column by
-    column from the basis vectors.  All forms share one u = h/D, so that
-    their products stay in u, and the integer result is d times the
-    rational one, d the product of the d0 of the letters."""
+    """Matrix of a word of (form, base) steps on mats, built on blocks of
+    basis columns as wide as the widest of mats, each block written back
+    as fractions before the next one is formed.  All forms share one
+    u = h/D, so that their products stay in u, and the integer result is
+    d times the rational one, d the product of the d0 of the letters."""
     scales = [_scales(m) for m in mats]
     big = lcm(*(b for _, b in scales))
     forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
+    letters = _compile_word(forms, word, order)
     d = prod(scales[m][0] for m, _ in word)
     dens = [d * big ** j for j in range(order)]
+    width = max(1, *(m.dim for m in mats))
     # entries repeat across columns: build each Fraction once
     fracs: dict[tuple[int, int], Fraction] = {}
     parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
-    for j in range(dim):
-        vec = _apply_word(forms, word, _basis_vector(j, order))
+    for start in range(0, dim, width):
+        vec = _apply_word(letters, word,
+                          _block(start, start + width, dim, order))
         for deg, (part, den) in enumerate(zip(vec, dens)):
             dst = parts[deg]
-            for i, a in part.items():
+            for key, a in part.items():
                 f = fracs.get((a, deg))
                 if f is None:
                     f = fracs[(a, deg)] = Fraction(a, den)
+                j, i = divmod(key, dim)
                 dst[(i, j)] = f
     return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))

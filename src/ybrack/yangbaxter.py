@@ -11,8 +11,9 @@ and self-distributivity makes it a Yang-Baxter operator.
 
 check_ybe, braid_rep and conjugate run on the integer slot kernel of
 truncpoly (which also serves PolyMat.compose): it applies a map in
-integer, coefficient-major form to adjacent tensor slots, column by
-column, so no product of dense tensor powers is ever formed.
+integer, coefficient-major form to adjacent tensor slots of a block of
+basis columns at a time, so no product of dense tensor powers is ever
+formed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, DimensionMismatch,
                      SizeOverflow, SparseMat, power_exceeds)
 from .racks import Rack
-from .truncpoly import (PolyMat, TruncPoly, _apply_word, _basis_vector,
-                        _int_form, _scales, _word_matrix)
+from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
+                        _compile_word, _int_form, _scales, _word_matrix)
 
 
 @dataclass(frozen=True)
@@ -139,23 +140,30 @@ def _braid_word(n: int, strands: int, letters) -> list[tuple[int, int]]:
 def check_ybe(op: YBOperator) -> YbeVerdict:
     """Compare (c1 c2 c1) and (c2 c1 c2) on the tensor cube, exactly.
 
-    Both triple products are formed column by column (never as dense
-    n^3 x n^3 arrays) as the braid words sigma1 sigma2 sigma1 and
-    sigma2 sigma1 sigma2, in the integer form of the operator; the
-    verdict carries the first differing basis triple in lexicographic
-    order.  Each side is d0^3 times its rational value with h = D u, and
-    u -> h / D is invertible, so the integer columns agree exactly when
-    the rational ones do.
+    Both triple products are formed on blocks of n basis columns, the
+    triples (x, y, 0..n-1), never as dense n^3 x n^3 arrays, as the braid
+    words sigma1 sigma2 sigma1 and sigma2 sigma1 sigma2 on the integer
+    form of the operator, each letter compiled once.  The check stops at
+    the first block where the sides differ, and the verdict carries the
+    first differing basis triple in lexicographic order: the column of
+    the least differing key.  Each side is d0^3 times its rational value
+    with h = D u, and u -> h / D is invertible, so the integer columns
+    agree exactly when the rational ones do.
     """
-    n = op.rack_size
-    forms = [_int_form(op.mat, *_scales(op.mat))]
+    n, order = op.rack_size, op.trunc
+    dim = n ** 3
     lhs_word = _braid_word(n, 3, (1, 2, 1))
     rhs_word = _braid_word(n, 3, (2, 1, 2))
-    for e in range(n ** 3):
-        start = _basis_vector(e, op.trunc)
-        lhs = _apply_word(forms, lhs_word, start)
-        rhs = _apply_word(forms, rhs_word, start)
+    letters = _compile_word([_int_form(op.mat, *_scales(op.mat))],
+                            lhs_word + rhs_word, order)
+    for start in range(0, dim, max(n, 1)):
+        block = _block(start, start + n, dim, order)
+        lhs = _apply_word(letters, lhs_word, block)
+        rhs = _apply_word(letters, rhs_word, block)
         if lhs != rhs:
+            e = min(key for left, right in zip(lhs, rhs)
+                    for key in left.keys() | right.keys()
+                    if left.get(key) != right.get(key)) // dim
             x, rest = divmod(e, n * n)
             y, z = divmod(rest, n)
             return YbeVerdict(False, (x, y, z))
@@ -189,9 +197,9 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
     (alpha x alpha)^{-1} c (alpha x alpha): only the n x n alpha is
     inverted, and no tensor square is formed.
 
-    Column by column, this is a word of five letters on two strands,
-    the last acting first: alpha on slot 0, alpha on slot 1, c on the
-    pair, then alpha^{-1} on slot 0 and on slot 1.
+    On one block of all n^2 basis columns, this is a word of five
+    letters on two strands, the last acting first: alpha on slot 0, alpha
+    on slot 1, c on the pair, then alpha^{-1} on slot 0 and on slot 1.
     """
     n = alpha.dim
     if op.rack_size != n or op.trunc != alpha.order:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import (CORPUS_IDS, CORPUS_RACKS, entropic_operator,
                       unit_perturbation)
 from ybrack.linalg import SizeOverflow
 from ybrack.racks import dihedral_rack, square_reflection_quandle, \
-    transposition_quandle, trivial_rack
+    transposition_quandle, trivial_rack, validate_rack
 from ybrack.reference import (DIHEDRAL3_MATRIX,
                               SQUARE_REFLECTION_MATRIX_ROWS_AS_SOURCE,
                               ones_positions)
@@ -70,6 +72,11 @@ def test_cq_satisfies_ybe(rack):
     assert check_ybe(build_cq(rack)).ok
 
 
+def test_ybe_holds_on_the_zero_space():
+    # no basis triple, so no block of columns to compare
+    assert check_ybe(YBOperator(0, PolyMat(0, 2))).ok
+
+
 def test_jones_satisfies_ybe():
     for q in (1, 2, F(1, 3), F(-2, 7)):
         assert check_ybe(build_jones(q)).ok
@@ -104,8 +111,15 @@ def _dense_triple_products(op):
         return m
 
     def mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(dim)), zero)
-                 for j in range(dim)] for i in range(dim)]
+        # a product with a zero entry adds nothing and is skipped
+        out = [[zero] * dim for _ in range(dim)]
+        for i in range(dim):
+            for k in range(dim):
+                if not a[i][k].is_zero():
+                    for j in range(dim):
+                        if not b[k][j].is_zero():
+                            out[i][j] = out[i][j] + a[i][k] * b[k][j]
+        return out
 
     c1, c2 = mat_c1(), mat_c2()
     return mul(mul(c1, c2), c1), mul(mul(c2, c1), c2)
@@ -209,6 +223,50 @@ def test_check_ybe_matches_dense_oracle_over_truncated_polynomials(build,
         assert witness is not None
         if expect == "fails-late":
             assert witness != (0, 0, 0)
+
+
+def _small_racks():
+    """Every Alexander quandle on Z_n (x*y = t x + (1 - t) y, t a unit)
+    and every permutation rack (x*y = sigma(x)) of size 1 to 3."""
+    for n in (1, 2, 3):
+        for t in range(n):
+            if gcd(t, n) == 1:
+                yield validate_rack([[(t * x + (1 - t) * y) % n
+                                      for y in range(n)] for x in range(n)])
+        for sigma in permutations(range(n)):
+            yield validate_rack([[sigma[x]] * n for x in range(n)])
+
+
+def test_check_ybe_first_failure_on_generated_racks():
+    # check_ybe runs blocks of n columns, the triples (x, y, 0..n-1), and
+    # stops at the first block that differs.  Its witness must still be
+    # the first failing triple when that is not the first of its block,
+    # and a failure in the last block must be reached.  At trunc 2 the
+    # first failure of c_Q + h v E_rc depends only on the rack and (r, c);
+    # on these racks it lies in the last block only for a few cells with
+    # c = (n-1, n-1), so every row of that column is planted, besides four
+    # cells drawn anywhere.
+    rng = random.Random(11)
+    inside = last = 0
+    for rack in _small_racks():
+        n = rack.size
+        nn = n * n
+        op = build_cq(rack, 2)
+        cells = [(r, nn - 1) for r in range(nn)] + [
+            (rng.randrange(nn), rng.randrange(nn)) for _ in range(4)]
+        for r, c in cells:
+            value = F(rng.randint(1, 5), rng.randint(1, 4))
+            planted = PolyMat.from_entries(nn, 2, [
+                (r, c, TruncPoly.from_coeffs([0, value], 2))])
+            broken = YBOperator(n, op.mat.add(planted))
+            witness = _dense_witness(broken)
+            verdict = check_ybe(broken)
+            assert (verdict.ok, verdict.witness) == (witness is None, witness)
+            if witness is not None:
+                x, y, z = witness
+                inside += z > 0
+                last += (x, y) == (n - 1, n - 1)
+    assert inside and last
 
 
 # -- braid representations --------------------------------------------------
