@@ -37,7 +37,8 @@ no elimination over Q, from the orbit indicators of E^d and the integer
 columns of d^(d-1), read off its chunks (its docstring has the proof).
 The chunks of d^d are eliminated mod P as they come, and assembly stops
 at the first prefix that reaches the rank the proof needs, in practice
-within two of the n chunks.
+within two of the n chunks.  split_solver(rack, d) splits a vector of
+E^d + B^d into its entropic and coboundary parts on the same vectors.
 
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
@@ -225,12 +226,18 @@ def _alternating(degree: int) -> list[tuple[int, int]]:
     return [(i, (-1) ** i) for i in range(degree + 1)]
 
 
+def _int_cells(f: Cochain) -> tuple[list[tuple], int]:
+    """(cells, den): the cells (encode(u), encode(v), 0, value) of f
+    scaled to ints by den, the common denominator of its values."""
+    den = lcm(*(v.denominator for v in f.entries.values()))
+    return [(xc, yc, 0, v.numerator * (den // v.denominator))
+            for (yc, xc), v in f.entries.items()], den
+
+
 def _cochain_sum(rack: Rack, f: Cochain, partials) -> Cochain:
     """The signed sum of partials applied to f, summed as ints over the
     common denominator of f's values."""
-    den = lcm(*(v.denominator for v in f.entries.values()))
-    cells = [(xc, yc, 0, v.numerator * (den // v.denominator))
-             for (yc, xc), v in f.entries.items()]
+    cells, den = _int_cells(f)
     return Cochain.from_vector(rack.size, f.degree + 1, {
         r: Fraction(row[1], den)
         for chunk in _row_sums(rack, f.degree, partials, lambda: cells)
@@ -249,10 +256,10 @@ def coboundary(rack: Rack, f: Cochain) -> Cochain:
     return _cochain_sum(rack, f, _alternating(f.degree))
 
 
-def _matrix_rows(rack: Rack, degree: int, partials):
-    """The chunks of _row_sums for the signed sum of partials on the
-    indicator cochains, column j the indicator of index j of
-    Cochain.to_vector; raises before assembling anything too large."""
+def _check_degree(rack: Rack, degree: int) -> None:
+    """Raise unless the degree-d coboundary matrix, n^(2(d+1)) rows, is
+    within DEFAULT_ENTRY_LIMIT and d is 1..3: up to size 56, 14 and 7 in
+    degrees 1, 2 and 3."""
     n = rack.size
     if degree not in (1, 2, 3):
         raise ValueError("coboundary matrices support degrees 1..3")
@@ -260,7 +267,14 @@ def _matrix_rows(rack: Rack, degree: int, partials):
         raise SizeOverflow(
             f"degree-{degree} coboundary matrix for size {n} "
             f"exceeds the entry limit {DEFAULT_ENTRY_LIMIT}")
-    dim = n ** degree
+
+
+def _matrix_rows(rack: Rack, degree: int, partials):
+    """The chunks of _row_sums for the signed sum of partials on the
+    indicator cochains, column j the indicator of index j of
+    Cochain.to_vector; raises before assembling anything too large."""
+    _check_degree(rack, degree)
+    dim = rack.size ** degree
     return _row_sums(rack, degree, partials, lambda: (
         (uc, vc, uc * dim + vc, 1) for uc in range(dim) for vc in range(dim)))
 
@@ -305,9 +319,14 @@ def coboundary_space(rack: Rack, degree: int) -> Subspace:
 
 
 def is_entropic(rack: Rack, f: Cochain) -> bool:
-    """True iff every partial coboundary of f vanishes."""
-    return all(coboundary_i(rack, f, i).is_zero()
-               for i in range(f.degree + 1))
+    """True iff every partial coboundary of f vanishes.  f is scaled to
+    integer cells once, and each partial d_i runs alone over them, one
+    _row_sums call each, until one leaves a nonzero row; no cochain of
+    degree d+1 is formed."""
+    cells, _ = _int_cells(f)
+    return not any(any(chunk.values()) for i in range(f.degree + 1)
+                   for chunk in _row_sums(rack, f.degree, [(i, 1)],
+                                          lambda: cells))
 
 
 @dataclass(frozen=True)
@@ -468,6 +487,35 @@ def span_columns(rack: Rack, degree: int
     the integer columns of d^(d-1), which span B^d (none in degree 1)."""
     indicators = _indicators(entropic_basis(rack, degree))
     return indicators, _columns(rack, degree - 1) if degree > 1 else []
+
+
+def split_solver(rack: Rack, degree: int):
+    """The split of a degree-d cocycle as entropic + coboundary, d = 1..3.
+
+    Echelonizes [orbit indicators of E^d | integer columns of d^(d-1)]
+    (span_columns) once with linalg.solver.  The returned function maps a
+    vector v, indexed as in Cochain.to_vector, to (a, g) with v = sum of
+    a[o] * indicator o + d^(d-1) g, a keyed by the orbits of
+    entropic_basis(rack, d) and g a degree-(d-1) vector, or to None when v
+    is outside E^d + B^d.  The indicators come first and are independent,
+    so a is unique where E^d meets B^d only in 0; g has free variables
+    zero.  Raises before building anything where classify(rack, d) does.
+    """
+    _check_degree(rack, degree)
+    indicators, columns = span_columns(rack, degree)
+    vectors = indicators + columns
+    solve = linalg.solver(SparseMat(rack.size ** (2 * degree), len(vectors), {
+        (i, j): Fraction(v) for j, vec in enumerate(vectors)
+        for i, v in vec.items()}))
+    m = len(indicators)
+
+    def split(v: Vec) -> tuple[Vec, Vec] | None:
+        x = solve(v)
+        if x is None:
+            return None
+        return ({j: a for j, a in x.items() if j < m},
+                {j - m: a for j, a in x.items() if j >= m})
+    return split
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ I + h^k g removes the coboundary part without touching lower degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg, reference
 from .cohomology import (Cochain, EntropicBasis, entropic_basis,
-                         is_entropic, span_columns)
+                         is_entropic, split_solver)
 from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
 from .truncpoly import PolyMat, TruncPoly
@@ -217,30 +216,20 @@ class Equivalence:
         return conjugate(op, self.mat)
 
 
-def _deformation_term(op: YBOperator, back: dict[int, int]) -> PolyMat:
-    """f with op = c_Q (II + f).  c_Q sends e_j to e_pi(j), so c_Q^{-1}
-    moves row i to row back[i] = pi^{-1}(i) in every part."""
-    parts = [SparseMat(op.dim, op.dim, {(back[i], j): v for (i, j), v
-                                        in p.entries.items()})
-             for p in op.mat.parts]
-    parts[0] = parts[0].sub(SparseMat.identity(op.dim))
-    return PolyMat(op.dim, op.trunc, parts)
-
-
 def normalize_to_entropic(op: YBOperator, rack: Rack,
                           check_input: bool = True
                           ) -> tuple[Equivalence, YBOperator]:
     """Conjugate a Yang-Baxter deformation of c_Q into entropic form.
 
-    Walks the h-degrees 1..N-1: the degree-k term of the deformation is
-    split as entropic + coboundary by reducing it against the system of
-    the orbit indicators and the degree-1 coboundary matrix, echelonized
-    once per call, and the coboundary part is removed by conjugating with
-    I + h^k g.  A zero g means the degree is already entropic: the
-    independent indicator columns come first, so all are pivots, and
-    E^2 meets B^2 only in 0.  Lower degrees are never disturbed.
-    Returns (alpha, c') with c' = (alpha x alpha)^{-1} op (alpha x alpha)
-    and c_Q^{-1} c' entropic in every h-degree.
+    Walks the h-degrees 1..N-1.  The degree-k term of the deformation
+    f, op = c_Q (II + f), is read off part k of the operator: c_Q sends
+    e_j to e_pi(j), so c_Q^{-1} moves row i to row back[i] = pi^{-1}(i).
+    split_solver(rack, 2), built once per call, splits it as entropic +
+    coboundary in integer arithmetic, and the coboundary part is removed
+    by conjugating with I + h^k g.  A zero g means the degree is already
+    entropic, as E^2 meets B^2 only in 0.  Lower degrees are never
+    disturbed.  Returns (alpha, c') with c' = (alpha x alpha)^{-1} op
+    (alpha x alpha) and c_Q^{-1} c' entropic in every h-degree.
     """
     n = rack.size
     order = op.trunc
@@ -255,38 +244,28 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
                 f"input fails the Yang-Baxter equation at triple "
                 f"{verdict.witness}")
 
-    # columns: entropic indicators first, then the coboundary image, as
-    # Fractions, for the solver divides
-    indicators, columns = span_columns(rack, 2)
-    vectors = indicators + columns
-    split = linalg.solver(SparseMat(n ** 4, len(vectors), {
-        (i, j): Fraction(v) for j, vec in enumerate(vectors)
-        for i, v in vec.items()}))
-
+    split = split_solver(rack, 2)
     back = {i: j for i, j in cq.mat.constant.entries}
+
+    def term(current: YBOperator, k: int) -> Cochain:
+        return Cochain(n, 2, {(back[i], j): v for (i, j), v
+                              in current.mat.parts[k].entries.items()})
+
     alpha = PolyMat.identity(n, order)
     current = op
-    # the term of the current operator; after degree k's conjugation it
-    # serves both that degree's residual check and degree k+1
-    f = _deformation_term(current, back)
     for k in range(1, order):
-        e_k = Cochain(n, 2, f.coefficient_matrix(k).entries)
-        solution = split(e_k.to_vector())
-        if solution is None:
+        result = split(term(current, k).to_vector())
+        if result is None:
             raise DecompositionError(
                 f"degree-{k} term is not entropic + coboundary")
-        g = Cochain.from_vector(n, 1, {
-            idx - len(indicators): v for idx, v in solution.items()
-            if idx >= len(indicators)})
+        g = Cochain.from_vector(n, 1, result[1])
         if g.is_zero():
             continue
         step = Equivalence(PolyMat.identity(n, order).add(
             PolyMat.from_rational(g, order, h_degree=k)))
         current = step.conjugate(current)
         alpha = alpha.compose(step.mat)
-        f = _deformation_term(current, back)
-        residual = Cochain(n, 2, f.coefficient_matrix(k).entries)
-        if not is_entropic(rack, residual):
+        if not is_entropic(rack, term(current, k)):
             raise DecompositionError(
                 f"degree-{k} residual failed to become entropic")
     return Equivalence(alpha), current

@@ -514,23 +514,41 @@ def sum_and_intersection_dims(a: Subspace, b: Subspace) -> tuple[int, int]:
 
 
 def solver(m: SparseMat):
-    """Echelonize m once; the returned function maps b to the solution of
-    m x = b with free variables zero, or to None.  Column j is tagged with
-    coordinate top - j past m.rows; in that reverse order a tag is a pivot
-    exactly when its column depends on earlier columns, so the residual of
-    b is zero at the free variables and -x on the other tags, and an
-    entry left below m.rows means b is outside the column space."""
+    """Echelonize m once over Q; the returned function maps b to the
+    solution of m x = b with free variables zero, or to None.  Column j is
+    tagged with coordinate top - j past m.rows; in that reverse order a
+    tag is a pivot exactly when its column depends on earlier columns, so
+    the residual of b is zero at the free variables and -x on the other
+    tags, and an entry left below m.rows means b is outside the column
+    space.
+
+    The reduced rows are held as integer rows over their common
+    denominator L, and b is scaled to integers over its own denominator
+    db, so the residual is reduced as in Subspace.reduce, in Python ints:
+    L*db*b - sum of (db*b)[pc] * (L*row_pc) over the pivots pc that b
+    holds.  Only each solution entry becomes a Fraction."""
     top = m.rows + m.cols - 1
     cols = m.col_vectors()
     for j, col in enumerate(cols):
         col[top - j] = ONE
-    span = Subspace.from_vectors(top + 1, cols)
+    rows, pivots = rref(cols)
+    den = lcm(*(v.denominator for r in rows for v in r.values()))
+    int_rows = {pc: {i: v.numerator * (den // v.denominator)
+                     for i, v in r.items()} for pc, r in zip(pivots, rows)}
 
     def solve(b: Vec) -> Vec | None:
-        r = span.reduce(b)
-        if any(i < m.rows for i in r):
+        db = lcm(*(v.denominator for v in b.values()))
+        scaled = {i: v.numerator * (db // v.denominator)
+                  for i, v in b.items()}
+        r = {i: den * a for i, a in scaled.items()}
+        for pc in scaled.keys() & int_rows.keys():
+            s = scaled[pc]
+            for i, a in int_rows[pc].items():
+                r[i] = r.get(i, 0) - s * a
+        if any(a for i, a in r.items() if i < m.rows):
             return None
-        return {top - i: -v for i, v in r.items()}
+        scale = den * db
+        return {top - i: Fraction(-a, scale) for i, a in r.items() if a}
     return solve
 
 

@@ -303,8 +303,11 @@ class PolyMat:
         return result
 
     def inverse(self) -> "PolyMat":
-        """Invert the constant term exactly, then lift order by order."""
-        inv0 = invert_rational(self.parts[0])
+        """Invert the constant term exactly, then lift order by order.
+        A unipotent matrix, the identity mod h, has inv0 = I: it skips
+        that inversion and the products by inv0."""
+        unipotent = self.parts[0] == SparseMat.identity(self.dim)
+        inv0 = self.parts[0] if unipotent else invert_rational(self.parts[0])
         # X_k = -inv0 * sum_{j=1..k} M_j X_{k-j}
         m, x = self.parts, [inv0]
         for k in range(1, self.order):
@@ -312,7 +315,7 @@ class PolyMat:
             for j in range(1, k + 1):
                 if m[j].entries and x[k - j].entries:
                     acc = acc.add(m[j].matmul(x[k - j]))
-            x.append(inv0.matmul(acc).scaled(-1))
+            x.append((acc if unipotent else inv0.matmul(acc)).scaled(-1))
         return PolyMat(self.dim, self.order, x)
 
     def __eq__(self, other):

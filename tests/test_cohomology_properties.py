@@ -18,7 +18,7 @@ from ybrack.cohomology import (Cochain, _alternating, _matrix_rows,
                                coboundary_matrix, coboundary_space,
                                cocycle_space,
                                entropic_basis, is_entropic,
-                               partial_coboundary_matrix)
+                               partial_coboundary_matrix, split_solver)
 from ybrack.racks import validate_rack
 
 PROPS = settings(max_examples=50)
@@ -28,8 +28,8 @@ degrees = st.sampled_from([1, 2])
 
 
 @st.composite
-def racks(draw, max_size=4):
-    n = draw(st.integers(1, max_size))
+def racks(draw, max_size=4, min_size=1):
+    n = draw(st.integers(min_size, max_size))
     if draw(st.booleans()):
         t = draw(st.sampled_from([t for t in range(n) if gcd(t, n) == 1]))
         table = [[(t * x + (1 - t) * y) % n for y in range(n)]
@@ -94,6 +94,78 @@ def test_coboundary_i_matches_naive_oracle(rf):
 def test_entropic_basis_cochains_are_entropic(rack, degree):
     assert all(is_entropic(rack, c)
                for c in entropic_basis(rack, degree).cochains())
+
+
+def combination(n, degree, coeffs, cochains):
+    """sum of coeffs[k] * cochains[k] as a degree-d cochain."""
+    total = Cochain(n, degree)
+    for a, c in zip(coeffs, cochains):
+        total = total.add(c.scaled(a))
+    return total
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([2, 2, 3]).flatmap(
+    lambda d: st.tuples(racks(min_size=3), st.just(d))), st.data())
+def test_split_solver_recovers_entropic_part_and_coboundary(rack_degree,
+                                                           data):
+    rack, degree = rack_degree
+    n = rack.size
+    split = split_solver(rack, degree)
+    indicators = entropic_basis(rack, degree).cochains()
+    a = data.draw(st.lists(fractions, min_size=len(indicators),
+                           max_size=len(indicators)))
+    g = data.draw(cochains(rack, degree - 1))
+    dg = coboundary(rack, g)
+    v = combination(n, degree, a, indicators).add(dg)
+    got = split(v.to_vector())
+    assert got is not None
+    coeffs, preimage = got
+    assert coeffs == {k: x for k, x in enumerate(a) if x}
+    assert coboundary(rack, Cochain.from_vector(n, degree - 1, preimage)) \
+        == dg
+    # one planted entry: None exactly when it leaves Z^d
+    idx = data.draw(st.integers(0, n ** (2 * degree) - 1))
+    unit = Cochain.from_vector(n, degree, {idx: Fraction(1)})
+    planted = v.to_vector()
+    planted[idx] = planted.get(idx, 0) + 1
+    planted = {i: x for i, x in planted.items() if x}
+    assert (split(planted) is None) \
+        == (not coboundary(rack, unit).is_zero())
+
+
+def partials_vanish(rack, f):
+    """The definition: every partial coboundary of f is zero."""
+    return all(coboundary_i(rack, f, i).is_zero()
+               for i in range(f.degree + 1))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(racks(max_size=4 if d < 3 else 3, min_size=2),
+                        st.just(d))),
+    st.data())
+def test_is_entropic_matches_partial_coboundaries(rack_degree, data):
+    rack, degree = rack_degree
+    n = rack.size
+    assert is_entropic(rack, Cochain(n, degree))
+    indicators = entropic_basis(rack, degree).cochains()
+    a = data.draw(st.lists(fractions, min_size=len(indicators),
+                           max_size=len(indicators)))
+    f = combination(n, degree, a, indicators)
+    assert is_entropic(rack, f) and partials_vanish(rack, f)
+    # E^d is a subspace: perturbing f at one index leaves it entropic
+    # exactly when that index's unit cochain is
+    dim = n ** degree
+    cell = data.draw(st.tuples(st.integers(0, dim - 1),
+                               st.integers(0, dim - 1)))
+    bump = data.draw(fractions.filter(bool))
+    unit = Cochain(n, degree, {cell: bump})
+    perturbed = f.add(unit)
+    assert is_entropic(rack, perturbed) == partials_vanish(rack, perturbed) \
+        == partials_vanish(rack, unit)
+    g = data.draw(cochains(rack, degree))
+    assert is_entropic(rack, g) == partials_vanish(rack, g)
 
 
 @settings(max_examples=60)
