@@ -10,15 +10,14 @@ geometric-series recurrence, order by order.
 PolyMat stores a matrix over Q[h]/(h^N) coefficient-major, as one
 rational SparseMat per power of h.  This module is the only one that
 knows that layout; other modules read coefficient matrices or per-entry
-views.  Sums, scalings, Kronecker products and inverses stay rational.
-Products run on one integer slot kernel, _apply_slots: a matrix is
-rescaled once to integer coefficient matrices in u = h/D, and each
-letter of a word (a matrix at one slot weight) is compiled once into
-its products per input power of u and slot value.  A letter acts on one
-tensor slot or on two adjacent ones, and on a whole block of basis
-columns per call; _word_matrix writes each block back as fractions.
-compose and power use it on a single slot, and yangbaxter's check_ybe,
-braid_rep and conjugate on tensor powers.
+views.  Products and inverses run on one integer slot kernel,
+_apply_slots: a matrix is rescaled once to integer coefficient matrices
+in u = h/D, and each letter of a word (a matrix at one slot weight) is
+compiled once into its products per input power of u and slot value.  A
+letter acts on one tensor slot or on two adjacent ones, and on a whole
+block of basis columns per call; _from_blocks writes integer blocks back
+as fractions.  compose, power and inverse use it on a single slot, and
+yangbaxter's check_ybe, braid_rep and conjugate on tensor powers.
 """
 
 from __future__ import annotations
@@ -303,20 +302,38 @@ class PolyMat:
         return result
 
     def inverse(self) -> "PolyMat":
-        """Invert the constant term exactly, then lift order by order.
-        A unipotent matrix, the identity mod h, has inv0 = I: it skips
-        that inversion and the products by inv0."""
-        unipotent = self.parts[0] == SparseMat.identity(self.dim)
-        inv0 = self.parts[0] if unipotent else invert_rational(self.parts[0])
-        # X_k = -inv0 * sum_{j=1..k} M_j X_{k-j}
-        m, x = self.parts, [inv0]
-        for k in range(1, self.order):
-            acc = SparseMat(self.dim, self.dim)
-            for j in range(1, k + 1):
-                if m[j].entries and x[k - j].entries:
-                    acc = acc.add(m[j].matmul(x[k - j]))
-            x.append((acc if unipotent else inv0.matmul(acc)).scaled(-1))
-        return PolyMat(self.dim, self.order, x)
+        """M^{-1} = sum_{i<N} (-K)^i M0^{-1} with K = M0^{-1} (M - M0) = 0
+        mod h, on the integer slot kernel: on one block of all dim basis
+        columns, x_0 = M0^{-1} e and x_i = -M0^{-1} (M - M0) x_{i-1}, by
+        the letters s M0^{-1} (s the lcm of its denominators) and -(M - M0)
+        in u = h/D.  x_i is s^(i+1) times its value and starts at degree i,
+        so acc <- s acc + x_i ends within N terms and is written back once,
+        over s^m D^k in degree k after m terms.  A unipotent M skips the
+        M0^{-1} letter; a singular M0 raises ZeroDivisionError."""
+        dim, order = self.dim, self.order
+        tail = PolyMat(dim, order, (SparseMat(dim, dim),) + self.parts[1:])
+        _, big = _scales(tail)
+        minus = [[[(r, -c) for r, c in col] for col in part]
+                 for part in _int_form(tail, 1, big)]
+        forms, word, s = [minus], [(0, 1)], 1
+        if self.parts[0] != SparseMat.identity(dim):
+            inv0 = PolyMat.from_rational(invert_rational(self.parts[0]), order)
+            s = _scales(inv0)[0]
+            forms.append(_int_form(inv0, s, 1))
+            word.append((1, 1))
+        letters = _compile_word(forms, word, order)
+        x = acc = _apply_word(letters, word[1:], _block(0, dim, dim, order))
+        terms = 1
+        while any(x := _apply_word(letters, word, x)):
+            terms += 1
+            for dst, part in zip(acc, x):
+                for e in dst:
+                    dst[e] *= s
+                for e, a in part.items():
+                    dst[e] = dst.get(e, 0) + a
+        dens = [s ** terms * big ** k for k in range(order)]
+        return _from_blocks([[{e: a for e, a in part.items() if a}
+                              for part in acc]], dens, dim, order)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMat):
@@ -484,20 +501,26 @@ def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
     forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
     letters = _compile_word(forms, word, order)
     d = prod(scales[m][0] for m, _ in word)
-    dens = [d * big ** j for j in range(order)]
     width = max(1, *(m.dim for m in mats))
-    # entries repeat across columns: build each Fraction once
-    fracs: dict[tuple[int, int], Fraction] = {}
+    return _from_blocks((_apply_word(letters, word,
+                                     _block(start, start + width, dim, order))
+                         for start in range(0, dim, width)),
+                        [d * big ** k for k in range(order)], dim, order)
+
+
+def _from_blocks(blocks, dens, dim: int, order: int) -> PolyMat:
+    """The dim x dim PolyMat of integer blocks of columns, degree k of
+    each block over dens[k], each block written back as fractions before
+    the next one is drawn."""
+    # entries repeat across columns: build each Fraction once per degree
+    fracs: list[dict[int, Fraction]] = [{} for _ in range(order)]
     parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
-    for start in range(0, dim, width):
-        vec = _apply_word(letters, word,
-                          _block(start, start + width, dim, order))
-        for deg, (part, den) in enumerate(zip(vec, dens)):
-            dst = parts[deg]
+    for vec in blocks:
+        for part, den, dst, cache in zip(vec, dens, parts, fracs):
             for key, a in part.items():
-                f = fracs.get((a, deg))
+                f = cache.get(a)
                 if f is None:
-                    f = fracs[(a, deg)] = Fraction(a, den)
+                    f = cache[a] = Fraction(a, den)
                 j, i = divmod(key, dim)
                 dst[(i, j)] = f
     return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))

@@ -2,16 +2,17 @@
 
 The oracle holds a matrix over Q[h]/(h^N) as a list of rows of TruncPoly
 and does every operation entry by entry, so it shares nothing with
-PolyMat's coefficient-major storage but the scalar type.  compose, which
-runs on the integer slot kernel, is also checked against the rational
-convolution it replaced.
+PolyMat's coefficient-major storage but the scalar type.  compose and
+inverse, which run on the integer slot kernel, are also checked against
+the rational convolution and the order-by-order recurrence they replaced.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybrack.linalg import SparseMat
+from ybrack.linalg import SparseMat, invert_rational
 from ybrack.truncpoly import PolyMat, TruncPoly
 
 PROPS = settings(max_examples=40)
@@ -233,3 +234,103 @@ def test_power_matches_repeated_oracle_products(case):
     for _ in range(k):
         want = d_mul(want, a)
     assert to_dense(m.power(k)) == want
+
+
+def recurrence_inverse(m):
+    """The rational inverse PolyMat.inverse ran before the slot kernel,
+    kept as its oracle: invert the constant term, then lift order by
+    order, X_k = -inv0 sum_{j=1..k} M_j X_{k-j}, in Fraction sparse
+    matrix products."""
+    unipotent = m.parts[0] == SparseMat.identity(m.dim)
+    inv0 = m.parts[0] if unipotent else invert_rational(m.parts[0])
+    x = [inv0]
+    for k in range(1, m.order):
+        acc = SparseMat(m.dim, m.dim)
+        for j in range(1, k + 1):
+            acc = acc.add(m.parts[j].matmul(x[k - j]))
+        x.append((acc if unipotent else inv0.matmul(acc)).scaled(-1))
+    return PolyMat(m.dim, m.order, x)
+
+
+@st.composite
+def permutation_consts(draw, dim):
+    perm = draw(st.permutations(range(dim)))
+    return SparseMat(dim, dim, {(perm[i], i): Fraction(1) for i in range(dim)})
+
+
+@st.composite
+def rational_consts(draw, dim, dens):
+    """P L U with L unit lower and U upper triangular with a nonzero
+    diagonal, all with denominators from dens: invertible and, in
+    general, dense."""
+    values = dens_fractions(dens)
+    lower, upper = {}, {}
+    for i in range(dim):
+        lower[(i, i)] = Fraction(1)
+        upper[(i, i)] = draw(values.filter(bool))
+        for j in range(i):
+            lower[(i, j)] = draw(values)
+            upper[(j, i)] = draw(values)
+    lu = SparseMat(dim, dim, {k: v for k, v in lower.items() if v}).matmul(
+        SparseMat(dim, dim, {k: v for k, v in upper.items() if v}))
+    return draw(permutation_consts(dim)).matmul(lu)
+
+
+@st.composite
+def invertible_polymats(draw):
+    """Invertible sparse matrices over Q[h]/(h^N): a unipotent,
+    permutation or rational constant term under sparse h-coefficients,
+    or I + h^k g with k >= 2, where the series ends early (I itself
+    when k >= N)."""
+    dim, order = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    dens = draw(DENOMINATORS)
+    higher = draw(sparse_polymats(dim, order, *dens)).parts[1:]
+    kind = draw(st.sampled_from(["unipotent", "permutation", "rational",
+                                 "step"]))
+    if kind == "step":
+        k = draw(st.integers(2, max(2, order - 1)))
+        g = draw(sparse_polymats(dim, k + 1, *dens)).parts[k]
+        return PolyMat.identity(dim, order).add(
+            PolyMat.from_rational(g, order, k))
+    const = {"unipotent": st.just(SparseMat.identity(dim)),
+             "permutation": permutation_consts(dim),
+             "rational": rational_consts(dim, dens[0])}[kind]
+    return PolyMat(dim, order, (draw(const),) + higher)
+
+
+@settings(max_examples=150)
+@given(invertible_polymats())
+def test_inverse_matches_recurrence(m):
+    inv = m.inverse()
+    assert inv == recurrence_inverse(m)
+    ident = PolyMat.identity(m.dim, m.order)
+    assert m.compose(inv) == ident
+    assert inv.compose(m) == ident
+
+
+@PROPS
+@given(invertible_polymats(), st.integers(1, 3))
+def test_negative_power_is_power_of_inverse(m, k):
+    assert m.power(-k) == recurrence_inverse(m).power(k)
+    assert m.power(-k).compose(m.power(k)) == PolyMat.identity(m.dim, m.order)
+
+
+@pytest.mark.parametrize("dim,order", [(0, 1), (0, 3), (1, 1), (1, 4)])
+def test_inverse_of_small_shapes(dim, order):
+    ident = PolyMat.identity(dim, order)
+    assert ident.inverse() == ident
+    m = PolyMat.from_entries(dim, order, [
+        (i, i, TruncPoly.from_coeffs([Fraction(2, 3), 5, Fraction(-1, 7)],
+                                     order)) for i in range(dim)])
+    assert m.inverse() == recurrence_inverse(m)
+
+
+@PROPS
+@given(st.integers(1, 5), st.integers(1, 4), DENOMINATORS, st.data())
+def test_singular_constant_raises(dim, order, dens, data):
+    m = data.draw(sparse_polymats(dim, order, *dens))
+    col = data.draw(st.integers(0, dim - 1))
+    const = SparseMat(dim, dim, {(r, c): v for (r, c), v
+                                 in m.parts[0].entries.items() if c != col})
+    with pytest.raises(ZeroDivisionError):
+        PolyMat(dim, order, (const,) + m.parts[1:]).inverse()
