@@ -124,7 +124,9 @@ def cmd_check(args) -> int:
 def cmd_braid(args) -> int:
     rack = load_rack(args.rack)
     word = BraidWord.parse(args.word, args.strands)
-    mat = braid_rep(build_cq(rack), word)
+    trunc = 1 if args.trunc is None else args.trunc
+    check_order(rack.size ** 2, trunc)
+    mat = braid_rep(build_cq(rack, trunc), word)
     payload = {**provenance(rack), "strands": word.strands,
                "letters": list(word.letters)}
     if args.format == "json":
@@ -325,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized commands")
     parser.add_argument("--trunc", type=int, default=None,
                         help="truncation order: deform builds over "
-                             "Q[h]/(h^N) (default 3); normalize requires "
-                             "the operator's own order")
+                             "Q[h]/(h^N) (default 3), braid builds c_Q over "
+                             "it (default 1); normalize requires the "
+                             "operator's own order")
     parser.add_argument("--inner-cap", type=int, default=10 ** 6,
                         help="cap on inner-group closure enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

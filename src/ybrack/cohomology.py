@@ -14,31 +14,35 @@ operators d_i.  In index form, each d_i f has two terms on (d+1)-tuples
   - f<prefix slots acted by x_i (resp. y_i), tail unchanged>
                            *  delta(x_i, y_i)
 
-Every coboundary is assembled row by row from per-partial index tables:
-each cell (u -> v) sends its 2n terms through d_i by list lookups, and
-the terms are summed as ints into flat rows (col, int, col, int, ...).
-The cells come in increasing column, so each row comes out sorted by
-column with its zeros dropped, and needs no sort afterwards.
+Every coboundary is computed on integers from per-partial index tables:
+each cell (u -> v) sends its 2n terms through d_i by list lookups.
+_image applies it to an integer vector in one flat pass over the cells,
+summing the terms as ints in one dict; it serves the cochain coboundary
+(over the common denominator of the cochain), is_entropic, the columns
+of d^d and the check that d^d kills a list of vectors.
 
-The rows come in n chunks, one pass over the cells for each value t of
-the last slot of x.  Every d_i, i < d, keeps the last slot of u as that
-of x, and the a-th term pair of d_d puts a there.  So pass t takes the
-full d_i, i < d, of the cells with u_last = t and only the a = t pair
-of d_d, no other pass adds to its rows, and each chunk is final when
-its pass ends: it can be used and freed before the next one is built.
-The same chunks give the cochain coboundary (over the common
-denominator of the cochain), coboundary_matrix (one Fraction per
-distinct value), and cocycle_space, which deduplicates the nonzero rows
-of each chunk, up to sign, as it comes and hands the distinct rows
-straight to the certified modular kernel without forming the matrix.
+_row_sums assembles the matrix of d^d on the indicator cochains instead,
+as flat rows (col, int, col, int, ...) sorted by column with zeros
+dropped, in n chunks, one pass over the cells for each value t of the
+last slot of x.  Every d_i, i < d, keeps the last slot of u as that of
+x, and the a-th term pair of d_d puts a there.  So pass t takes the full
+d_i, i < d, of the cells with u_last = t and only the a = t pair of d_d,
+no other pass adds to its rows, and each chunk is final when its pass
+ends: it can be used and freed before the next one is built, and
+elimination can stop at the first prefix of chunks that reaches its
+rank.  The chunks give coboundary_matrix (one Fraction per distinct
+value) and cocycle_space, which deduplicates the nonzero rows of each
+chunk, up to sign, as it comes and hands the distinct rows straight to
+the certified modular kernel without forming the matrix.
 
 classify(rack, d), d = 1..3, proves Z^d = E^d (+) B^d on integers, with
 no elimination over Q, from the orbit indicators of E^d and the integer
-columns of d^(d-1), read off its chunks (its docstring has the proof).
-The chunks of d^d are eliminated mod P as they come, and assembly stops
-at the first prefix that reaches the rank the proof needs, in practice
-within two of the n chunks.  split_solver(rack, d) splits a vector of
-E^d + B^d into its entropic and coboundary parts on the same vectors.
+columns of d^(d-1), each the _image of one cell (its docstring has the
+proof).  d^d kills those vectors, one _image each; the chunks of d^d are
+eliminated mod P as they come, and assembly stops at the first prefix
+that reaches the rank the proof needs, in practice within two of the n
+chunks.  split_solver(rack, d) splits a vector of E^d + B^d into its
+entropic and coboundary parts on the same vectors.
 
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
@@ -156,11 +160,43 @@ def _partial_tables(rack: Rack, degree: int, i: int) -> tuple:
     return T, a_off, tail_x, tail_y, head_x, head_y
 
 
-def _row_sums(rack: Rack, degree: int, partials, cells):
-    """Sum of sign * d_i over the (i, sign) in partials, applied to each
-    cell (encode(u), encode(v), col, value) of degree-d indicators, value
-    times (u -> v); values are ints, and cells() yields the cells in
-    nondecreasing col, once per pass.
+def _image(rack: Rack, degree: int, partials, cells) -> dict[int, int]:
+    """Sum of sign * d_i over the (i, sign) in partials, applied to the
+    integer cells (encode(u), encode(v), value) of a degree-d vector, value
+    times (u -> v), as {row: total} with no zero total; row = encode(x) *
+    n^(d+1) + encode(y), the index of Cochain.to_vector.
+
+    One pass over the cells sends each cell's 2n terms per partial through
+    that partial's full _partial_tables, d_d (T = 1) included, and sums
+    them as ints in one dict.
+    """
+    n = rack.size
+    N = n ** (degree + 1)
+    tables = [(sign, *_partial_tables(rack, degree, i))
+              for i, sign in partials]
+    out: dict = {}
+    get = out.get
+    for uc, vc, val in cells:
+        for sign, T, a_off, tail_x, tail_y, head_x, head_y in tables:
+            hx, tx = divmod(uc, T)
+            hy, ty = divmod(vc, T)
+            v = val if sign > 0 else -val
+            base = (hx * n * T + tx) * N + hy * n * T + ty
+            back = tail_y[ty]
+            for off, c in zip(a_off, tail_x[tx]):
+                r = base + off + back[c]
+                out[r] = get(r, 0) + v
+            base = tx * N + ty
+            for p, q in zip(head_x[hx], head_y[hy]):
+                r = base + p + q
+                out[r] = get(r, 0) - v
+    return {r: t for r, t in out.items() if t}
+
+
+def _row_sums(rack: Rack, degree: int, partials):
+    """Sum of sign * d_i over the (i, sign) in partials, applied to the
+    indicator cochains of degree d, column col = encode(u) * n^d + encode(v)
+    the indicator of (u -> v), as lazily built matrix rows.
 
     Yields n dicts {row: (col, total, col, total, ...)}, the t-th holding
     the rows whose x ends in t, with row = encode(x) * n^(d+1) + encode(y),
@@ -173,10 +209,12 @@ def _row_sums(rack: Rack, degree: int, partials, cells):
     increasing col with no zero total, empty when all its terms cancel.
     Because the cols arrive in order, a term in the row's last col merges
     into that pair, which is dropped when it sums to zero, and any other
-    term is appended.
+    term is appended.  Elimination can stop at the first prefix of chunks
+    that reaches the rank it needs; vectors go through _image instead.
     """
     n = rack.size
     N = n ** (degree + 1)
+    dim = n ** degree
     full = [(sign, *_partial_tables(rack, degree, i))
             for i, sign in partials if i < degree]
     last = [(sign, *_partial_tables(rack, degree, i)[4:])
@@ -190,7 +228,8 @@ def _row_sums(rack: Rack, degree: int, partials, cells):
                  for sign, hx, hy in last]
         rows: dict = {}
         get = rows.get
-        for uc, vc, col, val in cells():
+        for col in range(dim * dim):
+            uc, vc = divmod(col, dim)
             groups = []
             if uc % n == t:
                 for sign, T, a_off, tail_x, tail_y, head_x, head_y in full:
@@ -198,16 +237,14 @@ def _row_sums(rack: Rack, degree: int, partials, cells):
                     hy, ty = divmod(vc, T)
                     base = (hx * n * T + tx) * N + hy * n * T + ty
                     back = tail_y[ty]
-                    v = val if sign > 0 else -val
-                    groups.append(([base + off + back[c]
-                                    for off, c in zip(a_off, tail_x[tx])], v))
+                    groups.append(([base + off + back[c] for off, c
+                                    in zip(a_off, tail_x[tx])], sign))
                     base = tx * N + ty
                     groups.append(([base + p + q for p, q in
-                                    zip(head_x[hx], head_y[hy])], -v))
+                                    zip(head_x[hx], head_y[hy])], -sign))
             for sign, px, nx, ny in pairs:
-                v = val if sign > 0 else -val
-                groups.append(((px[uc] + vc * n,), v))
-                groups.append(((nx[uc] + ny[vc],), -v))
+                groups.append(((px[uc] + vc * n,), sign))
+                groups.append(((nx[uc] + ny[vc],), -sign))
             for terms, w in groups:
                 for r in terms:
                     row = get(r)
@@ -227,21 +264,20 @@ def _alternating(degree: int) -> list[tuple[int, int]]:
 
 
 def _int_cells(f: Cochain) -> tuple[list[tuple], int]:
-    """(cells, den): the cells (encode(u), encode(v), 0, value) of f
-    scaled to ints by den, the common denominator of its values."""
+    """(cells, den): the cells (encode(u), encode(v), value) of f scaled
+    to ints by den, the common denominator of its values."""
     den = lcm(*(v.denominator for v in f.entries.values()))
-    return [(xc, yc, 0, v.numerator * (den // v.denominator))
+    return [(xc, yc, v.numerator * (den // v.denominator))
             for (yc, xc), v in f.entries.items()], den
 
 
 def _cochain_sum(rack: Rack, f: Cochain, partials) -> Cochain:
-    """The signed sum of partials applied to f, summed as ints over the
-    common denominator of f's values."""
+    """The signed sum of partials applied to f: one _image of f's integer
+    cells over the common denominator of its values."""
     cells, den = _int_cells(f)
     return Cochain.from_vector(rack.size, f.degree + 1, {
-        r: Fraction(row[1], den)
-        for chunk in _row_sums(rack, f.degree, partials, lambda: cells)
-        for r, row in chunk.items() if row})
+        r: Fraction(t, den)
+        for r, t in _image(rack, f.degree, partials, cells).items()})
 
 
 def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
@@ -252,7 +288,7 @@ def coboundary_i(rack: Rack, f: Cochain, i: int) -> Cochain:
 
 
 def coboundary(rack: Rack, f: Cochain) -> Cochain:
-    """Alternating sum of the partial coboundaries."""
+    """Alternating sum of the partial coboundaries, in one _image."""
     return _cochain_sum(rack, f, _alternating(f.degree))
 
 
@@ -270,13 +306,10 @@ def _check_degree(rack: Rack, degree: int) -> None:
 
 
 def _matrix_rows(rack: Rack, degree: int, partials):
-    """The chunks of _row_sums for the signed sum of partials on the
-    indicator cochains, column j the indicator of index j of
-    Cochain.to_vector; raises before assembling anything too large."""
+    """The chunks of _row_sums for the signed sum of partials; raises
+    before assembling anything too large."""
     _check_degree(rack, degree)
-    dim = rack.size ** degree
-    return _row_sums(rack, degree, partials, lambda: (
-        (uc, vc, uc * dim + vc, 1) for uc in range(dim) for vc in range(dim)))
+    return _row_sums(rack, degree, partials)
 
 
 def _matrix(rack: Rack, degree: int, partials) -> SparseMat:
@@ -321,12 +354,11 @@ def coboundary_space(rack: Rack, degree: int) -> Subspace:
 def is_entropic(rack: Rack, f: Cochain) -> bool:
     """True iff every partial coboundary of f vanishes.  f is scaled to
     integer cells once, and each partial d_i runs alone over them, one
-    _row_sums call each, until one leaves a nonzero row; no cochain of
-    degree d+1 is formed."""
+    _image each, until one is nonzero; no cochain of degree d+1 is
+    formed."""
     cells, _ = _int_cells(f)
-    return not any(any(chunk.values()) for i in range(f.degree + 1)
-                   for chunk in _row_sums(rack, f.degree, [(i, 1)],
-                                          lambda: cells))
+    return not any(_image(rack, f.degree, [(i, 1)], cells)
+                   for i in range(f.degree + 1))
 
 
 @dataclass(frozen=True)
@@ -449,13 +481,13 @@ def symmetrize(rack: Rack, f: Cochain) -> Cochain:
 
 def _columns(rack: Rack, degree: int) -> list[dict[int, int]]:
     """The columns of the degree-d coboundary matrix as integer vectors
-    {row: value}, read off the rows of _matrix_rows."""
-    cols = [{} for _ in range(rack.size ** (2 * degree))]
-    for chunk in _matrix_rows(rack, degree, _alternating(degree)):
-        for r, row in chunk.items():
-            for c, a in zip(row[::2], row[1::2]):
-                cols[c][r] = a
-    return cols
+    {row: value}: column encode(u) * n^d + encode(v) is the _image of the
+    one cell (u -> v).  Raises before building anything too large."""
+    _check_degree(rack, degree)
+    dim = rack.size ** degree
+    partials = _alternating(degree)
+    return [_image(rack, degree, partials, [(uc, vc, 1)])
+            for uc in range(dim) for vc in range(dim)]
 
 
 def _indicators(basis: EntropicBasis) -> list[dict[int, int]]:
@@ -469,15 +501,13 @@ def _indicators(basis: EntropicBasis) -> list[dict[int, int]]:
 
 def _kills(rack: Rack, degree: int, vectors) -> bool:
     """True iff the degree-d coboundary kills every integer vector
-    {index: value}, indexed as in Cochain.to_vector: one _row_sums pass
-    over the vectors, with column k the k-th vector, leaves every row
-    empty."""
+    {index: value}, indexed as in Cochain.to_vector: one _image per
+    vector, stopping at the first that is nonzero."""
     dim = rack.size ** degree
-    cells = [(*divmod(i, dim), k, a) for k, v in enumerate(vectors)
-             for i, a in v.items()]
-    return not any(row for chunk in _row_sums(
-        rack, degree, _alternating(degree), lambda: cells)
-        for row in chunk.values())
+    partials = _alternating(degree)
+    return not any(_image(rack, degree, partials,
+                          [(*divmod(i, dim), a) for i, a in v.items()])
+                   for v in vectors)
 
 
 def span_columns(rack: Rack, degree: int

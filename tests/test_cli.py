@@ -102,6 +102,19 @@ def test_braid_command(capsys):
     assert data["matrix"]["dim"] == 27
 
 
+def test_braid_builds_cq_at_the_global_trunc(capsys):
+    # c_Q and its inverse are constant in h, so at --trunc 3 the h^0 part
+    # is the trunc-1 matrix and every higher part is zero
+    argv = ["braid", "--rack", "dihedral:3", "--word", "-1"]
+    code, base, _ = run_json(capsys, *argv)
+    assert code == 0 and base["matrix"]["trunc"] == 1
+    code, data, _ = run_json(capsys, "--trunc", "3", *argv)
+    assert code == 0 and data["matrix"]["trunc"] == 3
+    assert [[r, c, v[:1]] for r, c, v in data["matrix"]["entries"]] \
+        == base["matrix"]["entries"]
+    assert all(v[1:] == ["0", "0"] for _, _, v in data["matrix"]["entries"])
+
+
 def test_deform_check_and_normalize_round_trip(tmp_path, capsys):
     lam = json.dumps([["0", "1/2", "-1/3"]])
     code, data, _ = run_json(capsys, "deform", "--rack", "dihedral:3",
@@ -221,6 +234,8 @@ def test_normalize_input_failing_ybe_is_math_failure(tmp_path, capsys):
     ["braid", "--rack", "trivial:2", "--word", "1", "--strands", "24"],
     # 2^23 columns at trunc 1 pass a column count but not (2^23)^2 slots
     ["braid", "--rack", "trivial:2", "--word", "1", "--strands", "23"],
+    # c_Q itself over Q[h]/(h^(10^8)): 81 slots per power of h
+    ["--trunc", "100000000", "braid", "--rack", "dihedral:3", "--word", "-1"],
     # 4^12 quasi-diagonal index pairs of 12 slots
     ["entropic-basis", "--rack", "trivial:2", "--degree", "12"],
     # racks of size (or permutation degree) n >= 216: n^3 axiom checks
@@ -229,7 +244,7 @@ def test_normalize_input_failing_ybe_is_math_failure(tmp_path, capsys):
     ["validate", "trivial:100000"],
     ["validate", "conj:S216:(12)"],
     ["validate", "table216.json"],
-], ids=["braid", "braid-slots", "entropic-basis", "dihedral-1000",
+], ids=["braid", "braid-slots", "braid-trunc", "entropic-basis", "dihedral-1000",
         "dihedral-216", "trivial-100000", "conj-S216", "json-table-216"])
 def test_oversized_requests_refused_before_allocating(argv, tmp_path,
                                                       monkeypatch, capsys):

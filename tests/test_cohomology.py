@@ -186,7 +186,7 @@ def test_size_guard():
 def test_classify_h2_guard_runs_before_building_anything(monkeypatch):
     built = []
     for name in ("coboundary_space", "entropic_basis", "_row_sums",
-                 "_partial_tables"):
+                 "_image", "_partial_tables"):
         monkeypatch.setattr(cohomology, name,
                             lambda *args, name=name: built.append(name))
     # the first size whose degree-d coboundary matrix exceeds the limit

@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from test_cohomology import naive_partial_coboundary
 from ybrack import linalg
-from ybrack.cohomology import (Cochain, _alternating, _matrix_rows,
-                               classify, coboundary, coboundary_i,
-                               coboundary_matrix, coboundary_space,
-                               cocycle_space,
+from ybrack.cohomology import (Cochain, _alternating, _columns, _kills,
+                               _matrix_rows, classify, coboundary,
+                               coboundary_i, coboundary_matrix,
+                               coboundary_space, cocycle_space,
                                entropic_basis, is_entropic,
-                               partial_coboundary_matrix, split_solver)
+                               partial_coboundary_matrix, span_columns,
+                               split_solver)
 from ybrack.racks import validate_rack
 
 PROPS = settings(max_examples=50)
@@ -180,6 +181,47 @@ def test_h2_splits_as_entropic_plus_coboundaries(rack_degree):
     assert (rep.dim_z, rep.dim_b, rep.dim_e) == (
         cocycle_space(rack, degree).dim, coboundary_space(rack, degree).dim,
         entropic_basis(rack, degree).dim)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(racks(min_size=2), st.just(d))), st.data())
+def test_flat_images_match_the_chunked_coboundary_matrix(rack_degree, data):
+    # _columns and _kills apply d^d to vectors in one flat pass;
+    # coboundary_matrix is assembled from the chunked rows of _row_sums
+    rack, degree = rack_degree
+    m = coboundary_matrix(rack, degree)
+    assert _columns(rack, degree) == [{r: int(v) for r, v in col.items()}
+                                      for col in m.col_vectors()]
+    assert all(v.denominator == 1 for v in m.entries.values())
+
+    def killed(v):
+        return not m.apply({i: Fraction(a) for i, a in v.items()})
+
+    size = m.cols
+    values = st.integers(1, 4).flatmap(lambda a: st.sampled_from([a, -a]))
+    drawn = data.draw(st.lists(st.dictionaries(
+        st.integers(0, size - 1), values, min_size=1, max_size=6),
+        max_size=3))
+    assert _kills(rack, degree, drawn) == all(map(killed, drawn))
+    # integer combinations of E^d + B^d lie in Z^d; one planted entry
+    # leaves it exactly when d^d does not kill its unit vector
+    indicators, columns = span_columns(rack, degree)
+    span = indicators + columns
+    picks = data.draw(st.lists(st.tuples(
+        st.integers(0, len(span) - 1), values), min_size=1, max_size=4))
+    v: dict = {}
+    for k, a in picks:
+        for i, x in span[k].items():
+            v[i] = v.get(i, 0) + a * x
+    v = {i: x for i, x in v.items() if x}
+    assert killed(v) and _kills(rack, degree, [v, *span])
+    idx = data.draw(st.integers(0, size - 1))
+    bump = data.draw(values)
+    planted = dict(v)
+    planted[idx] = planted.get(idx, 0) + bump
+    planted = {i: x for i, x in planted.items() if x}
+    assert _kills(rack, degree, [v, planted]) == killed({idx: bump})
 
 
 def naive_coboundary(rack, f):

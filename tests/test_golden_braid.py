@@ -2,8 +2,9 @@
 
 tests/golden/braid.json holds, per command line, the stdout and exit code
 recorded while PolyMat.inverse still lifted the inverse order by order in
-Fractions.  `yb braid` builds c_Q at order 1, so these cases cover the
-command line and the inverse of the constant term; the property tests in
+Fractions.  None passes --trunc, so `yb braid` builds c_Q at order 1 and
+these cases cover the command line and the inverse of the constant term;
+test_cli.py runs it at order 3, and the property tests in
 test_polymat_properties.py cover higher orders.
 """
 
