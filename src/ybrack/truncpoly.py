@@ -4,8 +4,7 @@ TruncPoly is the coefficient ring for formal deformations: a fixed
 truncation order N >= 1 and N rational coefficients for h^0..h^(N-1).
 All arithmetic discards terms of degree >= N; order 1 degenerates to
 plain rational arithmetic.  A truncated polynomial is invertible iff its
-constant coefficient is nonzero, and the inverse is computed by the
-geometric-series recurrence, order by order.
+constant coefficient is nonzero; its inverse is that of the 1 x 1 PolyMat.
 
 PolyMat stores a matrix over Q[h]/(h^N) coefficient-major, as one
 rational SparseMat per power of h.  This module is the only one that
@@ -16,7 +15,8 @@ in u = h/D, and each letter of a word (a matrix at one slot weight) is
 compiled once into its products per input power of u and slot value.  A
 letter acts on one tensor slot or on two adjacent ones, and on a whole
 block of basis columns per call; _from_blocks writes integer blocks back
-as fractions.  compose, power and inverse use it on a single slot, and
+as fractions.  It is the only matrix product: compose, power, inverse and
+scaled (by a 1 x 1 letter) use it on a single slot, tensor on two, and
 yangbaxter's check_ybe, braid_rep and conjugate on tensor powers.
 """
 
@@ -119,17 +119,10 @@ class TruncPoly:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncPoly":
-        a0 = self.coeffs[0]
-        if not a0:
-            raise ZeroDivisionError("constant coefficient is zero")
-        inv0 = 1 / a0
-        out = [inv0] + [ZERO] * (self.order - 1)
-        for k in range(1, self.order):
-            s = ZERO
-            for j in range(1, k + 1):
-                s += self.coeffs[j] * out[k - j] if j < self.order else ZERO
-            out[k] = -inv0 * s
-        return TruncPoly(self.order, tuple(out))
+        """Entry (0, 0) of the inverse of the 1 x 1 PolyMat [[self]]; a
+        zero constant coefficient raises ZeroDivisionError."""
+        return PolyMat.from_entries(1, self.order, [(0, 0, self)]) \
+            .inverse().get(0, 0)
 
     def __eq__(self, other):
         if isinstance(other, TruncPoly):
@@ -263,25 +256,19 @@ class PolyMat:
         return self.add(other.scaled(-1))
 
     def scaled(self, s) -> "PolyMat":
-        """Multiply by a scalar or a TruncPoly of the same order."""
-        if not isinstance(s, TruncPoly):
-            s = TruncPoly.const(s, self.order)
-        elif s.order != self.order:
-            raise ValueError("mixed truncation orders")
-        return PolyMat(self.dim, self.order, _convolve(
-            s.coeffs, self.parts, lambda a, m: m.scaled(a),
-            SparseMat(self.dim, self.dim)))
+        """Multiply by a scalar or a TruncPoly of the same order: a word
+        of one 1 x 1 letter [[s]], which multiplies every entry by s."""
+        s = PolyMat.from_entries(1, self.order, [(0, 0, s)])
+        return _word_matrix([self, s], [(1, 1), (0, 1)], self.dim, self.order)
 
     def tensor(self, other: "PolyMat") -> "PolyMat":
-        """Kronecker product; basis index of (i, j) is i*other.dim + j."""
+        """Kronecker product; basis index of (i, j) is i*other.dim + j.
+        A word of two letters on self.dim * other.dim: other on the slot
+        of weight 1, then self on the slot of weight other.dim."""
         if self.order != other.order:
             raise ValueError("mixed truncation orders")
-        d, e = self.dim * other.dim, other.dim
-        return PolyMat(d, self.order, _convolve(
-            self.parts, other.parts, lambda a, b: SparseMat(d, d, {
-                (r1 * e + r2, c1 * e + c2): v1 * v2
-                for (r1, c1), v1 in a.entries.items()
-                for (r2, c2), v2 in b.entries.items()}), SparseMat(d, d)))
+        return _word_matrix([self, other], [(1, 1), (0, other.dim)],
+                            self.dim * other.dim, self.order)
 
     def trace(self) -> TruncPoly:
         return TruncPoly(self.order, tuple(
@@ -289,17 +276,10 @@ class PolyMat:
             for p in self.parts))
 
     def power(self, k: int) -> "PolyMat":
-        if k < 0:
-            return self.inverse().power(-k)
-        result = PolyMat.identity(self.dim, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            k >>= 1
-            if k:
-                base = base.compose(base)
-        return result
+        """The word of |k| letters self, or self.inverse() when k < 0; the
+        empty word k = 0 is the identity."""
+        base = self.inverse() if k < 0 else self
+        return _word_matrix([base], [(0, 1)] * abs(k), self.dim, self.order)
 
     def inverse(self) -> "PolyMat":
         """M^{-1} = sum_{i<N} (-K)^i M0^{-1} with K = M0^{-1} (M - M0) = 0
@@ -396,20 +376,6 @@ def check_order(dim: int, order: int) -> None:
         raise SizeOverflow(
             f"a {dim} x {dim} matrix over Q[h]/(h^{order}) exceeds the "
             f"entry limit {DEFAULT_ENTRY_LIMIT}")
-
-
-def _convolve(xs, ys, product, empty: SparseMat) -> list[SparseMat]:
-    """Truncated convolution: part k is the sum of product(xs[i], ys[j])
-    over i + j = k, for k < len(ys)."""
-    out = []
-    for k in range(len(ys)):
-        acc = empty
-        for i in range(k + 1):
-            p = product(xs[i], ys[k - i])
-            if p.entries:
-                acc = acc.add(p) if acc.entries else p
-        out.append(acc)
-    return out
 
 
 def _scales(mat: PolyMat) -> tuple[int, int]:

@@ -10,7 +10,7 @@ the rational convolution and the order-by-order recurrence they replaced.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ybrack.linalg import SparseMat, invert_rational
 from ybrack.truncpoly import PolyMat, TruncPoly
@@ -88,9 +88,30 @@ def test_compose_add_sub_match_oracle(pair):
                                     for i in range(n)]
 
 
+def fixed_dense(dim, order):
+    """A fixed dense matrix over Q[h]/(h^order) with zero and fractional
+    coefficients, for explicit examples."""
+    return [[TruncPoly.from_coeffs(
+        [Fraction((3 * r + 5 * c + 7 * k) % 9 - 4, 1 + (r + 2 * c + k) % 4)
+         for k in range(order)], order) for c in range(dim)]
+        for r in range(dim)]
+
+
+def unipotent_dense(dim, order):
+    """I plus the h-terms of fixed_dense: an alpha of the shape that
+    bench/workloads.py _conjugated_operator conjugates by."""
+    return [[v - v.constant + int(r == c) for c, v in enumerate(row)]
+            for r, row in enumerate(fixed_dense(dim, order))]
+
+
 @PROPS
 @given(sizes.flatmap(lambda s: st.tuples(
     dense_mats(*s), polys(s[1]), fractions)))
+@example((fixed_dense(3, 3), TruncPoly.zero(3), Fraction(0)))
+@example((fixed_dense(3, 3), TruncPoly.from_coeffs([0, Fraction(2, 3), -1], 3),
+          Fraction(5, 3)))
+@example((fixed_dense(3, 3), TruncPoly.const(Fraction(-7, 4), 3),
+          Fraction(-5, 6)))
 def test_scaled_matches_oracle(case):
     a, s, q = case
     pa = to_polymat(a)
@@ -102,6 +123,14 @@ def test_scaled_matches_oracle(case):
 @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
        .flatmap(lambda s: st.tuples(dense_mats(s[0], s[2]),
                                     dense_mats(s[1], s[2]))))
+@example((unipotent_dense(5, 3), d_identity(5, 3)))
+@example((d_identity(5, 3), unipotent_dense(5, 3)))
+@example((unipotent_dense(6, 4), d_identity(6, 4)))
+@example((d_identity(6, 4), unipotent_dense(6, 4)))
+@example((unipotent_dense(7, 5), d_identity(7, 5)))
+@example((d_identity(7, 5), unipotent_dense(7, 5)))
+@example((fixed_dense(1, 3), fixed_dense(3, 3)))
+@example((fixed_dense(3, 3), fixed_dense(1, 3)))
 def test_tensor_matches_oracle(pair):
     a, b = pair
     n, m = len(a), len(b)

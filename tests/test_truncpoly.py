@@ -30,11 +30,14 @@ def test_geometric_inverse():
 
 def test_inverse_random_round_trip():
     rng = random.Random(9)
-    for _ in range(20):
-        coeffs = [F(rng.randint(1, 5))] + \
-            [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-        p = TruncPoly.from_coeffs(coeffs, 4)
-        assert p * p.inverse() == TruncPoly.one(4)
+    for order in range(1, 7):
+        for _ in range(20):
+            const = F(rng.choice([-1, 1]) * rng.randint(1, 5),
+                      rng.randint(1, 4))
+            coeffs = [const] + [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(order - 1)]
+            p = TruncPoly.from_coeffs(coeffs, order)
+            assert p * p.inverse() == TruncPoly.one(order)
 
 
 def test_inverse_requires_unit_constant():
