@@ -92,7 +92,7 @@ def cmd_validate(args) -> int:
         print(f"invalid rack: {exc}{witness}", file=sys.stderr)
         return MATH_FAIL
     classes = behavioral_classes(rack)
-    group = inner_group(rack, args.inner_cap)
+    group = inner_group(rack)
     payload = {
         **provenance(rack),
         "size": rack.size,
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "Q[h]/(h^N) (default 3), braid builds c_Q over "
                              "it (default 1); normalize requires the "
                              "operator's own order")
-    parser.add_argument("--inner-cap", type=int, default=10 ** 6,
-                        help="cap on inner-group closure enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the rack axioms")
@@ -386,8 +384,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if min(args.inner_cap, 1 if args.trunc is None else args.trunc) < 1:
-            raise InputError("limits must be positive")
+        if args.trunc is not None and args.trunc < 1:
+            raise InputError("--trunc must be positive")
         return args.func(args)
     except (InputError, RackSpecError, RackError, ClosureCapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)

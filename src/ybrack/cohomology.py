@@ -62,7 +62,7 @@ from math import lcm
 from . import linalg
 from .linalg import (DEFAULT_ENTRY_LIMIT, SparseMat, Subspace, SizeOverflow,
                      Vec, ZERO)
-from .racks import Perm, Rack, class_ids, inner_group
+from .racks import Perm, Rack, class_ids, inner_orbit
 
 
 def encode(tup, n: int) -> int:
@@ -398,28 +398,18 @@ class EntropicBasis:
 @functools.lru_cache(maxsize=None)
 def _slot_orbits(rack: Rack) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Orbits of behaviourally-diagonal pairs under the diagonal
-    inner action, each sorted, ordered by least pair."""
+    inner action, each sorted, ordered by least pair: each is the
+    inner_orbit of the least such pair no orbit holds yet, as inner
+    automorphisms keep behavioural classes."""
     ids = class_ids(rack)
-    n = rack.size
-    gens = {rack.rho(y) for y in range(n)}
-    seen: set[tuple[int, int]] = set()
+    seen = set()
     orbits = []
-    for x in range(n):
-        for y in range(n):
-            if ids[x] != ids[y] or (x, y) in seen:
-                continue
-            orbit = {(x, y)}
-            frontier = [(x, y)]
-            while frontier:
-                (a, b) = frontier.pop()
-                for g in gens:
-                    img = (g(a), g(b))
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            seen |= orbit
+    for pair in itertools.product(range(rack.size), repeat=2):
+        if ids[pair[0]] == ids[pair[1]] and pair not in seen:
+            orbit = inner_orbit(rack, pair)
+            seen.update(orbit)
             orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits, key=lambda o: o[0]))
+    return tuple(orbits)
 
 
 def entropic_basis(rack: Rack, degree: int) -> EntropicBasis:
@@ -454,29 +444,22 @@ def entropic_basis(rack: Rack, degree: int) -> EntropicBasis:
 
 
 def symmetrize(rack: Rack, f: Cochain) -> Cochain:
-    """Average of the diagonal inner-automorphism translates of f.
+    """Average of the diagonal inner-automorphism translates of f,
+    (alpha f)<x -> y> = f<x^alpha -> y^alpha>, over Inn(Q).
 
-    (alpha f)<x -> y> = f<x^alpha -> y^alpha>, averaged over the full
-    inner automorphism group.
+    By orbit-stabilizer it is, at each (x, y), the mean of f over the
+    inner_orbit of the tuple x + y, so Inn(Q) is never enumerated.
+    Denominators are orbit sizes, which divide |Inn(Q)|.
     """
-    group = inner_group(rack)
-    n = rack.size
-    d = f.degree
+    n, d = rack.size, f.degree
     acc: dict[tuple[int, int], Fraction] = {}
-    for alpha in group.elements:
-        for (yc, xc), val in f.entries.items():
-            u = decode(xc, d, n)
-            v = decode(yc, d, n)
-            x = tuple(alpha(t) for t in u)
-            y = tuple(alpha(t) for t in v)
-            key = (encode(y, n), encode(x, n))
-            s = acc.get(key, ZERO) + val
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    scale = Fraction(1, group.order)
-    return Cochain(n, d, {k: scale * v for k, v in acc.items() if v})
+    for yc, xc in f.entries:
+        if (yc, xc) not in acc:
+            orbit = inner_orbit(rack, decode(xc, d, n) + decode(yc, d, n))
+            keys = [(encode(t[d:], n), encode(t[:d], n)) for t in orbit]
+            mean = sum(f.entries.get(k, ZERO) for k in keys) / len(keys)
+            acc.update(dict.fromkeys(keys, mean))
+    return Cochain(n, d, {k: v for k, v in acc.items() if v})
 
 
 def _columns(rack: Rack, degree: int) -> list[dict[int, int]]:

@@ -13,6 +13,7 @@ equivalent when their right translations coincide.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ class RackSpecError(ValueError):
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Group closure enumeration hit the configured element cap."""
+    """A breadth-first closure grew past its element cap."""
 
 
 @dataclass(frozen=True)
@@ -127,27 +128,26 @@ class PermGroup:
         return len(self.elements)
 
 
-def mulclose(generators: list[Perm], cap: int) -> set[Perm]:
-    """Breadth-first product closure of a generator set."""
-    if not generators:
-        return set()
-    degree = generators[0].degree
-    els = {Perm.identity(degree)}
-    els.update(generators)
-    boundary = list(els)
-    while boundary:
-        new = []
-        for a in generators:
-            for b in boundary:
-                c = b * a
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise ClosureCapExceeded(
-                            f"group closure exceeded cap {cap}")
-        boundary = new
-    return els
+CLOSURE_CAP = 10 ** 6
+
+
+def closure(start, step, cap: int) -> list:
+    """Breadth-first closure of the point start under step.
+
+    step(p) yields the points one move from p.  Returns every point
+    reachable from start, start first, once each in order of discovery.
+    Raises ClosureCapExceeded on the insertion that takes the closure
+    past cap points; cap >= 1.
+    """
+    order, seen = [start], {start}
+    for p in order:  # order grows while it is walked: a FIFO queue
+        for q in step(p):
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+                if len(order) > cap:
+                    raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _checked_size(n) -> int:
 def validate_rack(table, quandle_required: bool = False) -> Rack:
     """Check the rack axioms and return the validated Rack.
 
-    Raises RackSpecError unless the table is a list (or tuple) of n
+    Raises RackSpecError unless the table is a list (or tuple) of n >= 1
     lists of n ints in 0..n-1, bools excluded; SizeOverflow for a table over
     _checked_size; then RackError with a witness on the first violation
     found: a non-bijective right translation, a self-distributivity
@@ -195,7 +195,7 @@ def validate_rack(table, quandle_required: bool = False) -> Rack:
         raise RackSpecError("rack table must be a list of rows")
     n = _checked_size(len(table))
     if n == 0:
-        raise RackError("empty rack is not supported")
+        raise RackSpecError("empty rack is not supported")
     rows = []
     for x, row in enumerate(table):
         if not isinstance(row, (list, tuple)):
@@ -235,7 +235,7 @@ def conjugation_quandle(elems: list[Perm]) -> Rack:
         raise RackError("duplicate elements in conjugation subset")
     n = len(elems)
     if n == 0:
-        raise RackError("empty rack is not supported")
+        raise RackSpecError("empty rack is not supported")
     table = []
     for x in range(n):
         row = []
@@ -251,18 +251,21 @@ def conjugation_quandle(elems: list[Perm]) -> Rack:
     return validate_rack(table, quandle_required=True)
 
 
-def inner_group(rack: Rack, element_cap: int = 10**6) -> PermGroup:
-    """Closure of the right translations under composition."""
-    gens = []
-    seen = set()
-    for y in range(rack.size):
-        p = rack.rho(y)
-        if p not in seen:
-            seen.add(p)
-            gens.append(p)
-    elements = mulclose(gens, element_cap)
-    ordered = tuple(sorted(elements, key=lambda p: p.images))
-    return PermGroup(rack.size, ordered, tuple(gens))
+def inner_orbit(rack: Rack, point: tuple[int, ...]) -> list[tuple]:
+    """The orbit of a tuple of elements under Inn(Q) acting on every
+    entry: its closure under the right translations."""
+    gens = {rack.rho(y).images for y in range(rack.size)}
+    return closure(point, lambda t: (tuple(g[a] for a in t) for g in gens),
+                   CLOSURE_CAP)
+
+
+def inner_group(rack: Rack) -> PermGroup:
+    """Inn(Q), at most CLOSURE_CAP elements: the closure of the identity
+    under right multiplication by the distinct right translations, which
+    acts on image tuples entrywise, so Inn(Q) is the identity's orbit."""
+    gens = tuple(dict.fromkeys(rack.rho(y) for y in range(rack.size)))
+    images = inner_orbit(rack, tuple(range(rack.size)))
+    return PermGroup(rack.size, tuple(map(Perm, sorted(images))), gens)
 
 
 def behavioral_classes(rack: Rack) -> list[list[int]]:
@@ -295,22 +298,19 @@ def dihedral_rack(n: int) -> Rack:
                           for x in range(n)])
 
 
-def symmetric_group(k: int) -> list[Perm]:
-    """All permutations of degree k, sorted by image tuple."""
-    import itertools
-    return [Perm(p) for p in itertools.permutations(range(k))]
-
-
-def conjugacy_class(g: Perm, group: list[Perm]) -> list[Perm]:
-    cls = {h.inverse() * g * h for h in group}
-    return sorted(cls, key=lambda p: p.images)
+def conjugacy_class(g: Perm, generators) -> list[Perm]:
+    """The class of g in the finite group the generators generate: the
+    closure of g under conjugation by each generator, sorted by image."""
+    return sorted(closure(g, lambda p: (h.inverse() * p * h
+                                        for h in generators), CLOSURE_CAP),
+                  key=lambda p: p.images)
 
 
 def transposition_quandle(k: int) -> Rack:
-    """Conjugation quandle of all transpositions in the symmetric group."""
-    group = symmetric_group(k)
-    perms = conjugacy_class(parse_perm("(12)", k), group)
-    return conjugation_quandle(perms)
+    """Conjugation quandle of all transpositions in the symmetric group
+    S_k = <(12), (12...k)>, sorted by image tuple."""
+    s_k = [parse_perm("(12)", k), Perm.from_cycles([list(range(k))], k)]
+    return conjugation_quandle(conjugacy_class(s_k[0], s_k))
 
 
 def square_reflection_quandle() -> Rack:
@@ -322,28 +322,16 @@ def square_reflection_quandle() -> Rack:
 
 
 def tetrahedral_quandle() -> Rack:
-    """Conjugation quandle of the four rotations of order 3 in A4
-    (one conjugacy class of 3-cycles), sorted by image tuple."""
-    even = [p for p in symmetric_group(4) if _sign(p) == 1]
-    cls = conjugacy_class(parse_perm("(123)", 4), even)
-    return conjugation_quandle(cls)
+    """Conjugation quandle of the four rotations of order 3 in
+    A4 = <(123), (234)> (one conjugacy class of 3-cycles), sorted by
+    image tuple."""
+    a4 = [parse_perm("(123)", 4), parse_perm("(234)", 4)]
+    return conjugation_quandle(conjugacy_class(a4[0], a4))
 
 
-def _sign(p: Perm) -> int:
-    sign = 1
-    seen = [False] * p.degree
-    for start in range(p.degree):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p.images[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _is_odd(p: Perm) -> bool:
+    """Whether p has an odd number of inversions."""
+    return sum(a > b for a, b in itertools.combinations(p.images, 2)) % 2 == 1
 
 
 def rack_from_name(name: str) -> Rack:
@@ -367,7 +355,7 @@ def rack_from_name(name: str) -> Rack:
         if not perm_texts:
             raise RackSpecError(f"no permutations given in {name!r}")
         perms = [parse_perm(t, k) for t in perm_texts]
-        if parts[1][0] == "A" and any(_sign(p) != 1 for p in perms):
+        if parts[1][0] == "A" and any(map(_is_odd, perms)):
             raise RackSpecError("odd permutation in alternating-group subset")
         return conjugation_quandle(perms)
     raise RackSpecError(f"unknown rack name {name!r}")

@@ -55,6 +55,16 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["check", "--rack"]])
+def test_empty_table_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"table": []}))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "empty" in err
+    assert err.count("\n") == 1
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", "--rack",
                        "conj:S3:(12),(13),(23)")
@@ -157,7 +167,7 @@ def test_reproduce_seed_flag(capsys):
 
 
 def test_config_rejects_nonpositive_limits(capsys):
-    code, _, err = run(capsys, "--inner-cap", "0", "validate", "trivial:2")
+    code, _, err = run(capsys, "--trunc", "0", "validate", "trivial:2")
     assert code == 2 and "positive" in err
 
 
@@ -165,12 +175,13 @@ def test_config_defaults():
     from ybrack.cli import build_parser
     parser = build_parser()
     assert [parser.get_default(k)
-            for k in ("inner_cap", "trunc", "format")] \
-        == [10 ** 6, None, "human"]
+            for k in ("trunc", "format")] == [None, "human"]
 
 
-def test_inner_cap_exceeded_is_input_error(capsys):
-    code, _, err = run(capsys, "--inner-cap", "2", "validate", "dihedral:5")
+def test_inner_cap_exceeded_is_input_error(capsys, monkeypatch):
+    import ybrack.racks
+    monkeypatch.setattr(ybrack.racks, "CLOSURE_CAP", 2)
+    code, _, err = run(capsys, "validate", "dihedral:5")
     assert code == 2
     assert err.startswith("input error:") and "cap 2" in err
     assert "Traceback" not in err and err.count("\n") == 1

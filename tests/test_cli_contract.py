@@ -92,8 +92,7 @@ def argument_lists(draw):
     head = []
     for option in (_option("--format", st.sampled_from(["human", "json",
                                                         "xml"])),
-                   _option("--seed", numbers), _option("--trunc", numbers),
-                   _option("--inner-cap", numbers)):
+                   _option("--seed", numbers), _option("--trunc", numbers)):
         head += draw(option)
     command = draw(st.sampled_from(
         ["validate", "check", "braid", "cohomology", "entropic-basis",

@@ -16,11 +16,11 @@ from ybrack import linalg
 from ybrack.cohomology import (Cochain, _alternating, _columns, _kills,
                                _matrix_rows, classify, coboundary,
                                coboundary_i, coboundary_matrix,
-                               coboundary_space, cocycle_space,
-                               entropic_basis, is_entropic,
+                               coboundary_space, cocycle_space, decode,
+                               encode, entropic_basis, is_entropic,
                                partial_coboundary_matrix, span_columns,
-                               split_solver)
-from ybrack.racks import validate_rack
+                               split_solver, symmetrize)
+from ybrack.racks import inner_group, validate_rack
 
 PROPS = settings(max_examples=50)
 
@@ -95,6 +95,29 @@ def test_coboundary_i_matches_naive_oracle(rf):
 def test_entropic_basis_cochains_are_entropic(rack, degree):
     assert all(is_entropic(rack, c)
                for c in entropic_basis(rack, degree).cochains())
+
+
+def average_over_inner_group(rack, f):
+    """The Inn(Q) average of f by enumeration: each entry of f is moved
+    by every alpha in inner_group(rack), (u -> v) to (u^alpha -> v^alpha),
+    and the sum is divided by the group's order."""
+    n, d = rack.size, f.degree
+    group = inner_group(rack)
+    acc = {}
+    for alpha in group.elements:
+        for (yc, xc), v in f.entries.items():
+            x = tuple(alpha(t) for t in decode(xc, d, n))
+            y = tuple(alpha(t) for t in decode(yc, d, n))
+            key = (encode(y, n), encode(x, n))
+            acc[key] = acc.get(key, 0) + v
+    return Cochain(n, d, {k: v / group.order for k, v in acc.items() if v})
+
+
+@PROPS
+@given(rack_cochains())
+def test_symmetrize_is_the_average_over_the_inner_group(rf):
+    rack, f = rf
+    assert symmetrize(rack, f) == average_over_inner_group(rack, f)
 
 
 def combination(n, degree, coeffs, cochains):

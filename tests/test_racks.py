@@ -1,11 +1,13 @@
+import itertools
 import json
 
 import pytest
 
+from ybrack import racks
 from ybrack.racks import (ClosureCapExceeded, Perm, RackError,
                           RackSpecError, behavioral_classes, class_ids,
-                          conjugation_quandle, dihedral_rack, inner_group,
-                          mulclose, parse_perm, rack_from_json,
+                          closure, conjugation_quandle, dihedral_rack,
+                          inner_group, parse_perm, rack_from_json,
                           rack_from_name, square_reflection_quandle,
                           tetrahedral_quandle, transposition_quandle,
                           trivial_rack, validate_rack)
@@ -43,11 +45,13 @@ def test_cycle_string_round_trip():
     assert parse_perm(p.cycle_string(), 5) == p
 
 
-def test_mulclose_s3():
+def test_closure_s3():
     gens = [parse_perm("(12)", 3), parse_perm("(123)", 3)]
-    assert len(mulclose(gens, 100)) == 6
+    step = lambda p: (p * g for g in gens)
+    s3 = closure(Perm.identity(3), step, 6)
+    assert len(s3) == len(set(s3)) == 6 and s3[0] == Perm.identity(3)
     with pytest.raises(ClosureCapExceeded):
-        mulclose(gens, 3)
+        closure(Perm.identity(3), step, 5)
 
 
 # -- validation ----------------------------------------------------------
@@ -87,8 +91,10 @@ def test_validate_rack_not_quandle():
 
 
 def test_empty_rack_rejected():
-    with pytest.raises(RackError):
+    with pytest.raises(RackSpecError):
         validate_rack([])
+    with pytest.raises(RackSpecError):
+        conjugation_quandle([])
 
 
 def test_out_of_range_entry_is_input_error():
@@ -125,6 +131,32 @@ def test_conjugation_quandle_singleton():
     assert r.size == 1 and r.is_quandle
 
 
+def _class_by_enumeration(g, group):
+    """g's conjugacy class as the set of its conjugates by every element
+    of the listed group, sorted by image tuple."""
+    return sorted({h.inverse() * g * h for h in group},
+                  key=lambda p: p.images)
+
+
+def _symmetric(k):
+    return [Perm(p) for p in itertools.permutations(range(k))]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_transposition_quandle_is_the_class_over_all_of_sk(k):
+    cls = _class_by_enumeration(parse_perm("(12)", k), _symmetric(k))
+    assert transposition_quandle(k).table == conjugation_quandle(cls).table
+
+
+def test_tetrahedral_quandle_is_the_class_over_all_of_a4():
+    a4 = [p for p in _symmetric(4)
+          if sum(p(i) > p(j) for i, j in itertools.combinations(range(4), 2))
+          % 2 == 0]
+    assert len(a4) == 12
+    cls = _class_by_enumeration(parse_perm("(123)", 4), a4)
+    assert tetrahedral_quandle().table == conjugation_quandle(cls).table
+
+
 def test_conjugation_quandle_not_closed():
     perms = [parse_perm("(12)", 3), parse_perm("(13)", 3)]
     with pytest.raises(RackError, match="closed"):
@@ -146,9 +178,10 @@ def test_inner_group_orders():
     assert inner_group(tetrahedral_quandle()).order == 12
 
 
-def test_inner_group_cap():
+def test_inner_group_cap(monkeypatch):
+    monkeypatch.setattr(racks, "CLOSURE_CAP", 2)
     with pytest.raises(ClosureCapExceeded):
-        inner_group(dihedral_rack(3), element_cap=2)
+        inner_group(dihedral_rack(3))
 
 
 def test_inner_group_closed_under_product_and_inverse():
