@@ -176,8 +176,8 @@ def _parse_lambda(text: str, trunc: int) -> list[TruncPoly]:
     raw = _parse_json(text, "malformed lambda JSON")
     if not isinstance(raw, list):
         raise InputError("lambda must be a JSON array, one value per orbit")
-    return [TruncPoly.from_json(item if isinstance(item, list)
-                                else [str(item)], trunc)
+    return [TruncPoly.from_json(item if isinstance(item, list) else [item],
+                                trunc)
             for item in raw]
 
 

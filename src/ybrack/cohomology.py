@@ -33,7 +33,7 @@ elimination can stop at the first prefix of chunks that reaches its
 rank.  The chunks give coboundary_matrix (one Fraction per distinct
 value) and cocycle_space, which deduplicates the nonzero rows of each
 chunk, up to sign, as it comes and hands the distinct rows straight to
-the certified modular kernel without forming the matrix.
+elimination over Q, as ints, without forming the matrix.
 
 classify(rack, d), d = 1..3, proves Z^d = E^d (+) B^d on integers, with
 no elimination over Q, from the orbit indicators of E^d and the integer
@@ -574,7 +574,7 @@ def classify(rack: Rack, degree: int) -> CohomologyReport:
          assembly stops at the first prefix that does.
     If a check or a rank falls short, the report comes from exact
     elimination instead: B^d as the image of d^(d-1), E^d and their sum
-    and intersection over Q, and dim Z^d from the certified kernel of
+    and intersection over Q, and dim Z^d from the exact kernel of
     cocycle_space.  Raises SizeOverflow, before building anything, where
     the degree-d coboundary matrix exceeds DEFAULT_ENTRY_LIMIT: above
     size 56, 14 and 7 in degrees 1, 2 and 3.

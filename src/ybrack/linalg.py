@@ -9,12 +9,12 @@ Subspaces are kept in reduced row echelon form with strictly increasing
 pivot columns, so two subspaces are equal iff their bases are identical.
 Pivoting is deterministic: lowest column first, then lowest row.
 
-The same elimination runs over the prime field F_p on signed int
-entries in (-p/2, p/2], updating each row in place, so the small values
-of integer rows stay small and are rarely reduced; rref hands its rows
-back in [0, p).  The kernel is computed mod P first and certified over Q
-(see row_kernel), and rank_reaches bounds the rank of integer rows from
-below by their rank mod P, reading only as many rows as it needs.
+Elimination over Q keeps int entries as Python ints for as long as the
+pivots it meets are +-1, so integer rows such as a coboundary's make no
+Fraction until rref hands its rows back, every value a Fraction.  The
+same elimination runs over F_p on signed int entries in (-p/2, p/2],
+updating each row in place; rank_reaches bounds the rank of integer rows
+from below by their rank mod P, reading only as many rows as it needs.
 """
 
 from __future__ import annotations
@@ -22,26 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import lcm
 
 Vec = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# the prime of the modular kernel, and the bound on the numerators and
-# denominators its rational reconstruction accepts
+# the prime of rank_reaches, the rank bound behind classify's certificate
 P = 2 ** 31 - 1
-_LIFT_BOUND = isqrt(P // 2)
 
 
 def vec_axpy(a: Vec, s: Fraction, b: Vec) -> Vec:
-    """a + s*b, dropping zeros."""
+    """a + s*b, dropping zeros; ints stay ints when s and b are ints."""
     if not s:
         return dict(a)
     out = dict(a)
     for i, v in b.items():
-        w = out.get(i, ZERO) + s * v
+        w = out.get(i, 0) + s * v
         if w:
             out[i] = w
         else:
@@ -201,11 +199,17 @@ class SparseMat:
 def _field_ops(p: int | None):
     """(axpy, scale) over Q when p is None, else over F_p on signed ints
     in (-p/2, p/2]: axpy(a, s, b) = a + s*b and scale(r, c) = r / c.
-    Over F_p, axpy updates a in place and returns it, and reduces a sum
-    only when it leaves that range, so the small values of a coboundary
-    stay small and need no %; a pivot of -1 is negated without any."""
+    A pivot of -1 is negated, so over Q an int row stays int.  Over F_p,
+    axpy updates a in place and returns it, and reduces a sum only when
+    it leaves that range, so the small values of a coboundary stay small
+    and need no %."""
     if p is None:
-        return vec_axpy, lambda r, c: {i: v / c for i, v in r.items()}
+        def scale(r, c):
+            if c == -1:
+                return {i: -v for i, v in r.items()}
+            inv = 1 / Fraction(c)
+            return {i: v * inv for i, v in r.items()}
+        return vec_axpy, scale
     half = p // 2
 
     def axpy(a, s, b):
@@ -257,8 +261,8 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
 
     Returns (rows, pivots): rows have leading coefficient 1 at strictly
     increasing pivot columns and are fully reduced against each other.
-    The result is the canonical basis of the row space; over F_p its
-    entries are in [0, p).
+    The result is the canonical basis of the row space; over Q every
+    entry is a Fraction, over F_p an int in [0, p).
     """
     axpy, _ = _field_ops(p)
     pivots: dict[int, Vec] = {}
@@ -275,7 +279,8 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
     if p is not None:
         return [{c: v % p for c, v in pivots[pc].items()}
                 for pc in piv_cols], piv_cols
-    return [pivots[c] for c in piv_cols], piv_cols
+    return [{c: v if type(v) is Fraction else Fraction(v)
+             for c, v in pivots[pc].items()} for pc in piv_cols], piv_cols
 
 
 def _mod_p(rows):
@@ -356,15 +361,12 @@ class Subspace:
 
 def kernel_basis(m: SparseMat) -> Subspace:
     """Canonical basis of {v : m v = 0}: row_kernel of the rows of m
-    times the lcm of m's denominators.  A denominator divisible by P goes
-    straight to elimination over Q."""
+    times the lcm of m's denominators."""
     den = lcm(*{v.denominator for v in m.entries.values()})
     rows = distinct_rows(
         tuple(x for c, v in sorted(r.items())
               for x in (c, v.numerator * (den // v.denominator)))
         for r in m.row_vectors())
-    if den % P == 0:
-        return Subspace.from_vectors(m.cols, _rational_kernel(m.cols, rows))
     return row_kernel(m.cols, rows)
 
 
@@ -393,77 +395,17 @@ def distinct_rows(rows) -> list[tuple]:
 
 def row_kernel(cols: int, rows: list[tuple]) -> Subspace:
     """Canonical basis of the vectors in Q^cols that every integer row
-    (col, value, col, value, ...) annihilates.
-
-    The kernel is computed mod P and lifted by rational reconstruction,
-    then certified over Q: every lifted vector is checked to satisfy
-    row . v = 0 exactly, and the vectors are independent (the identity on
-    the free columns) and number cols - rank_P >= cols - rank_Q, so they
-    span the kernel.  A failed reconstruction or a failed check falls
-    back to elimination over Q of the same rows.
-    """
-    basis = _modular_kernel(cols, rows)
-    if basis is None:
-        basis = _rational_kernel(cols, rows)
-    return Subspace.from_vectors(cols, basis)
-
-
-def _free_entries(cols: int, rows: list[Vec], pivots: list[int]):
-    """{f: {pc: entry of pivot row pc at f}} over the free columns f of a
-    reduced echelon form; the kernel is spanned by the e_f - sum of
-    entry * e_pc."""
-    pivot_set = set(pivots)
-    out: dict[int, Vec] = {f: {} for f in range(cols) if f not in pivot_set}
-    for pc, row in zip(pivots, rows):
-        for c, v in row.items():
+    (col, value, col, value, ...) annihilates, by elimination over Q of
+    the rows as ints: the kernel is spanned by e_f - sum of (entry of
+    pivot row pc at f) * e_pc over the free columns f."""
+    ref_rows, piv_cols = rref(dict(zip(r[::2], r[1::2])) for r in rows)
+    pivot_set = set(piv_cols)
+    free = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
+    for pc, row in zip(piv_cols, ref_rows):
+        for c, a in row.items():
             if c != pc:
-                out[c][pc] = v
-    return out
-
-
-def _rational_kernel(cols: int, rows: list[tuple]) -> list[Vec]:
-    """A kernel basis of the integer rows by elimination over Q."""
-    ref_rows, piv_cols = rref({c: Fraction(a) for c, a in
-                               zip(r[::2], r[1::2])} for r in rows)
-    basis = []
-    for f, entries in _free_entries(cols, ref_rows, piv_cols).items():
-        v: Vec = {f: ONE}
-        for pc, a in entries.items():
-            v[pc] = -a
-        basis.append(v)
-    return basis
-
-
-def _lift(x: int) -> Fraction | None:
-    """The a/b = x mod P with |a|, b <= _LIFT_BOUND, or None (Wang's
-    rational reconstruction)."""
-    r0, r1, t0, t1 = P, x, 0, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _modular_kernel(cols: int, rows: list[tuple]) -> list[Vec] | None:
-    """A kernel basis of the integer rows by elimination mod P, lifted and
-    checked exactly; None when that fails."""
-    ref_rows, piv_cols = rref(_mod_p(rows), P)
-    lifts: dict[int, Fraction | None] = {}
-    basis = []
-    for f, entries in _free_entries(cols, ref_rows, piv_cols).items():
-        v: Vec = {f: ONE}
-        for pc, a in entries.items():
-            if a not in lifts:
-                lifts[a] = _lift(P - a)
-            q = lifts[a]
-            if q is None:
-                return None
-            v[pc] = q
-        basis.append(v)
-    return basis if _annihilates(rows, basis) else None
+                free[c][pc] = -a
+    return Subspace.from_vectors(cols, list(free.values()))
 
 
 def integer_multiple(v: Vec) -> dict[int, int]:
@@ -471,23 +413,6 @@ def integer_multiple(v: Vec) -> dict[int, int]:
     ratios = {c: q.as_integer_ratio() for c, q in v.items()}
     den = lcm(*(d for _, d in ratios.values()))
     return {c: a * (den // d) for c, (a, d) in ratios.items()}
-
-
-def _annihilates(rows: list[tuple], basis: list[Vec]) -> bool:
-    """True iff row . v = 0 for every integer row and every v in basis,
-    each v scaled to integers first."""
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for k, v in enumerate(basis):
-        for c, a in integer_multiple(v).items():
-            by_col.setdefault(c, []).append((k, a))
-    for row in rows:
-        acc: dict[int, int] = {}
-        for c, a in zip(row[::2], row[1::2]):
-            for k, b in by_col.get(c, ()):
-                acc[k] = acc.get(k, 0) + a * b
-        if any(acc.values()):
-            return False
-    return True
 
 
 def image_basis(m: SparseMat) -> Subspace:

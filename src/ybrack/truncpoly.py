@@ -152,17 +152,22 @@ class TruncPoly:
 
     @staticmethod
     def from_json(data, order: int | None = None) -> "TruncPoly":
-        """Inverse of to_json, padded to order.  Malformed input raises
-        ValueError; so does a longer array, since cutting it would change
-        the value."""
+        """Inverse of to_json, padded to order.  A coefficient is a
+        string or a JSON number, a float read from its decimal text;
+        anything else, malformed input and a longer array, since cutting
+        it would change the value, raise ValueError."""
         if not isinstance(data, list):
             raise ValueError("coefficients must be a JSON array")
         if order is not None and len(data) > order:
             raise ValueError(f"{len(data)} coefficients exceed the "
                              f"truncation order {order}")
+        bad = [c for c in data if type(c) not in (str, int, float)]
+        if bad:
+            raise ValueError(f"bad coefficient: {bad[0]!r}")
         try:
-            coeffs = [Fraction(c) for c in data]
-        except (TypeError, ZeroDivisionError) as exc:
+            coeffs = [Fraction(str(c) if type(c) is float else c)
+                      for c in data]
+        except ZeroDivisionError as exc:
             raise ValueError(f"bad coefficient: {exc}") from exc
         return TruncPoly.from_coeffs(coeffs, order)
 

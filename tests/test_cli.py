@@ -329,6 +329,24 @@ def test_malformed_lambda_is_input_error(lam, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_float_lambda_reads_its_decimal_text_bare_or_in_an_array(capsys):
+    outs = [run(capsys, "--format", "json", "--trunc", "1", "deform",
+                "--rack", "trivial:1", "--lambda", lam)
+            for lam in ("[0.1]", "[[0.1]]")]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0
+    assert json.loads(out)["matrix"]["entries"] == [[0, 0, ["11/10"]]]
+
+
+@pytest.mark.parametrize("lam", ["[[true]]", "[[null]]", "[[{}]]", "[true]"])
+def test_non_number_coefficient_is_input_error(lam, capsys):
+    code, out, err = run(capsys, "--trunc", "1", "deform", "--rack",
+                         "trivial:1", "--lambda", lam)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 # 10^18 coefficient slots per entry: refused by the size guard; without
 # it, padding one coefficient array to that order fails at once
 HUGE_TRUNC = 10 ** 18

@@ -76,3 +76,10 @@ def test_entropic_basis_json_round_trip(rack_degree):
                                                    rack_degree[1])
     assert tuple(tuple((tuple(x), tuple(y)) for x, y in orbit)
                  for orbit in data["orbits"]) == basis.orbits
+
+
+def test_polymat_reads_a_float_coefficient_from_its_decimal_text():
+    m = PolyMat.from_json({"dim": 1, "trunc": 2,
+                           "entries": [[0, 0, [0.1, 2]]]})
+    assert list(m.entries()) == [(0, 0, TruncPoly.from_coeffs(
+        [Fraction(1, 10), Fraction(2)], 2))]

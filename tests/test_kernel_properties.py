@@ -1,8 +1,10 @@
 """kernel_basis against a Fraction-only oracle.
 
-kernel_basis eliminates mod P, lifts and certifies its result exactly,
-and falls back to elimination over Q when any of that fails; either way
-it must return the canonical basis that elimination over Q gives.
+kernel_basis eliminates the integer rows of a matrix over Q, keeping
+them as ints while the pivots are +-1; it must return the canonical
+basis that the copy-per-step Fraction elimination of test_linalg gives,
+on coboundary rows, on small rational matrices and on entries as wide
+as multiples of P.
 """
 
 from fractions import Fraction
@@ -11,17 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_cohomology_properties import racks
-from ybrack import linalg
+from test_linalg import fraction_rref
 from ybrack.cohomology import coboundary_matrix, cocycle_space
-from ybrack.linalg import P, SparseMat, Subspace, kernel_basis, rref
+from ybrack.linalg import P, SparseMat, Subspace, kernel_basis
 from ybrack.racks import dihedral_rack
 
 F = Fraction
 
 
 def oracle_kernel(m):
-    """Kernel from the reduced echelon form over Q."""
-    ref_rows, piv_cols = rref([r for r in m.row_vectors() if r])
+    """Kernel from the Fraction-only reduced echelon form."""
+    ref_rows, piv_cols = fraction_rref([r for r in m.row_vectors() if r])
     basis = []
     for f in sorted(set(range(m.cols)) - set(piv_cols)):
         v = {f: F(1)}
@@ -29,7 +31,8 @@ def oracle_kernel(m):
             if row.get(f):
                 v[pc] = -row[f]
         basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+    rows, pivots = fraction_rref(basis)
+    return Subspace(m.cols, tuple(rows), tuple(pivots))
 
 
 @st.composite
@@ -45,11 +48,9 @@ def rational_matrices(draw):
 @given(racks(), st.sampled_from([1, 2]))
 def test_coboundary_kernel_matches_oracle_without_fallback(rack, degree):
     m = coboundary_matrix(rack, degree)
-    rows = linalg.distinct_rows(
-        tuple(x for c in sorted(r) for x in (c, int(r[c])))
-        for r in m.row_vectors())
-    assert linalg._modular_kernel(m.cols, rows) is not None
-    assert kernel_basis(m) == oracle_kernel(m)
+    got = kernel_basis(m)
+    assert got == oracle_kernel(m)
+    assert all(type(v) is F for row in got.basis for v in row.values())
 
 
 @settings(max_examples=200)
@@ -59,50 +60,28 @@ def test_rational_kernel_matches_oracle(m):
 
 
 FALLBACK_CASES = {
-    # P vanishes mod P, so the rank drops and a lifted vector fails m v = 0
+    # wide entries: a multiple of P, a rank that drops only mod P,
+    # denominators divisible by P, and the kernel entry
+    # -(10^6 + 3)/(10^6 + 7), whose numerator and denominator exceed 2^15
     "entry-P": [[P, 0], [0, 1]],
     "rank-drop": [[1, 1], [1, 1 + P]],
     "denominator-P": [[F(1, P), 1], [2, F(3, 2 * P)]],
-    # the kernel entry -(10^6 + 7)/(10^6 + 3) is too large to reconstruct
     "no-reconstruction": [[F(10 ** 6 + 3, 10 ** 6 + 7), 1]],
 }
 
 
 @pytest.mark.parametrize("dense", FALLBACK_CASES.values(),
                          ids=FALLBACK_CASES.keys())
-def test_fallback_matches_oracle(dense, monkeypatch):
-    calls = []
-    rational = linalg._rational_kernel
-
-    def counted(*args):
-        calls.append(args)
-        return rational(*args)
-
-    monkeypatch.setattr(linalg, "_rational_kernel", counted)
+def test_fallback_matches_oracle(dense):
     m = SparseMat.from_dense(dense)
     assert kernel_basis(m) == oracle_kernel(m)
-    assert len(calls) == 1
 
 
-def test_fallback_on_a_coboundary_matrix(monkeypatch):
-    # no lift succeeds, so the Fraction elimination of the distinct
-    # integer rows gives the kernel, for kernel_basis and cocycle_space
-    calls = []
-    rational = linalg._rational_kernel
-    monkeypatch.setattr(linalg, "_lift", lambda x: None)
-    monkeypatch.setattr(linalg, "_rational_kernel",
-                        lambda *args: calls.append(args) or rational(*args))
+def test_fallback_on_a_coboundary_matrix():
+    # the distinct integer rows give the kernel, for kernel_basis and
+    # cocycle_space
     rack = dihedral_rack(4)
     m = coboundary_matrix(rack, 2)
     want = oracle_kernel(m)
     assert kernel_basis(m) == want
     assert cocycle_space(rack, 2) == want
-    assert len(calls) == 2
-
-
-def test_lift_reconstructs_small_fractions_only():
-    for q in (F(0), F(1), F(-2), F(3, 7), F(-32767, 32766)):
-        x = q.numerator * pow(q.denominator, -1, P) % P
-        assert linalg._lift(x) == q
-    x = (10 ** 6 + 3) * pow(10 ** 6 + 7, -1, P) % P
-    assert linalg._lift(x) is None

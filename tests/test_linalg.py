@@ -291,6 +291,111 @@ def test_signed_kernel_matches_oracle_on_coboundary_rows():
         _items(_oracle_rref(_oracle_mod_p(rows), P))
 
 
+def _fraction_axpy(a, s, b):
+    """a + s*b on a copy, dropping zeros."""
+    out = dict(a)
+    for i, v in b.items():
+        w = out.get(i, F(0)) + s * v
+        if w:
+            out[i] = w
+        else:
+            out.pop(i, None)
+    return out
+
+
+def fraction_rref(vectors):
+    """The copy-per-step Gauss-Jordan elimination over Q on Fractions
+    only: every input value is converted to a Fraction and every new
+    pivot row is divided by its leading value.  Kept as the oracle of
+    rref over Q, which carries ints as ints while its pivots are +-1."""
+    pivots = {}
+    for row in vectors:
+        r = {i: F(v) for i, v in row.items()}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                c = r[lead]
+                pivots[lead] = {i: v / c for i, v in r.items()}
+                break
+            r = _fraction_axpy(r, -r[lead], piv)
+    cols = sorted(pivots)
+    for pc in reversed(cols):
+        r = pivots[pc]
+        for c in [c for c in r if c != pc and c in pivots]:
+            r = _fraction_axpy(r, -r[c], pivots[c])
+        pivots[pc] = r
+    return [pivots[c] for c in cols], cols
+
+
+def _typed_items(result):
+    """rows and pivots with every value's type, in insertion order."""
+    rows, pivots = result
+    return [[(c, type(v), v) for c, v in r.items()] for r in rows], pivots
+
+
+def _assert_rref_matches_fraction_oracle(vectors):
+    assert _typed_items(rref(vectors)) == \
+        _typed_items(fraction_rref(vectors))
+
+
+def _dict_rows(rows):
+    return [dict(zip(r[::2], r[1::2])) for r in rows]
+
+
+@st.composite
+def small_rows(draw, values):
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        entries = draw(st.dictionaries(st.integers(0, 6), values,
+                                       max_size=5))
+        rows.append({c: v for c, v in sorted(entries.items()) if v})
+    return rows
+
+
+UNIT_INTS = st.sampled_from([1, -1])
+SMALL_INTS = st.integers(-4, 4)
+FRACTIONS = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+
+
+def test_rref_over_q_gives_fractions_for_int_input():
+    # an int divided by an int pivot must not become a float
+    rows, pivots = rref([{0: 2, 1: 3}, {0: 1, 2: 7}])
+    assert pivots == [0, 1]
+    assert rows == [{0: F(1), 2: F(7)}, {1: F(1), 2: F(-14, 3)}]
+    _assert_rref_matches_fraction_oracle([{0: 2, 1: 3}, {0: 1, 2: 7}])
+    _assert_rref_matches_fraction_oracle([{0: -1, 3: 2}, {0: 1, 1: 1}])
+
+
+def test_subspace_from_int_vectors_is_exact():
+    basis = Subspace.from_vectors(3, [{0: 3, 1: 1}]).basis
+    assert basis == ({0: F(1), 1: F(1, 3)},)
+    assert [type(v) for v in basis[0].values()] == [F, F]
+
+
+@settings(max_examples=400)
+@given(st.one_of(small_rows(UNIT_INTS), small_rows(SMALL_INTS),
+                 small_rows(FRACTIONS),
+                 small_rows(st.one_of(SMALL_INTS, FRACTIONS))))
+def test_rref_of_int_fraction_and_mixed_rows_matches_fraction_oracle(
+        vectors):
+    _assert_rref_matches_fraction_oracle(vectors)
+
+
+@settings(max_examples=200)
+@given(wide_integer_rows())
+def test_rref_of_wide_int_rows_matches_fraction_oracle(rows):
+    _assert_rref_matches_fraction_oracle(_dict_rows(rows))
+
+
+def test_rref_of_coboundary_rows_matches_fraction_oracle():
+    from ybrack.cohomology import _alternating, _matrix_rows
+    from ybrack.racks import dihedral_rack
+    rows = distinct_rows(row for chunk in _matrix_rows(
+        dihedral_rack(4), 2, _alternating(2)) for row in chunk.values())
+    _assert_rref_matches_fraction_oracle(_dict_rows(rows))
+
+
 def _random_matrix(rng, rows, cols, nnz):
     entries = {}
     for _ in range(nnz):
