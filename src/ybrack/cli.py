@@ -2,7 +2,9 @@
 
 Commands: validate, check, braid, cohomology, entropic-basis, deform,
 normalize, reproduce.  Exit codes are a stable contract for scripting:
-0 success, 1 mathematical failure (a check failed), 2 input error.
+0 success, 1 mathematical failure (a check failed), 2 input error; a
+standard output closed before the report is written also exits 2, with
+one line on standard error.
 
 Racks are given either as a named constructor (trivial:n, dihedral:n,
 conj:Sk:(..),(..)) or as a path to a JSON file {"size": n, "table": [[..]]}.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -47,7 +50,6 @@ def rack_hash(rack: Rack) -> str:
 
 def load_rack(spec: str) -> Rack:
     """Named constructor, or a JSON file when the spec names a file."""
-    import os
     if os.path.exists(spec) or spec.endswith(".json"):
         return rack_from_json(_read_json(spec, f"malformed JSON in {spec}"))
     return rack_from_name(spec)
@@ -386,7 +388,18 @@ def main(argv=None) -> int:
     try:
         if args.trunc is not None and args.trunc < 1:
             raise InputError("--trunc must be positive")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so that the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print("error: standard output closed early (broken pipe)",
+              file=sys.stderr)
+        return INPUT_ERROR
     except (InputError, RackSpecError, RackError, ClosureCapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

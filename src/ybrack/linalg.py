@@ -80,6 +80,16 @@ class SparseMat:
                 raise ValueError("stored zero entry")
 
     @staticmethod
+    def _unchecked(rows: int, cols: int, entries) -> "SparseMat":
+        """A rows x cols SparseMat of entries its caller has already
+        checked in range and nonzero, built without that check."""
+        mat = object.__new__(SparseMat)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "entries", entries)
+        return mat
+
+    @staticmethod
     def from_dense(dense) -> "SparseMat":
         rows = len(dense)
         cols = len(dense[0]) if rows else 0

@@ -14,10 +14,14 @@ _apply_slots: a matrix is rescaled once to integer coefficient matrices
 in u = h/D, and each letter of a word (a matrix at one slot weight) is
 compiled once into its products per input power of u and slot value.  A
 letter acts on one tensor slot or on two adjacent ones, and on a whole
-block of basis columns per call; _from_blocks writes integer blocks back
-as fractions.  It is the only matrix product: compose, power, inverse and
-scaled (by a 1 x 1 letter) use it on a single slot, tensor on two, and
-yangbaxter's check_ybe, braid_rep and conjugate on tensor powers.
+block of basis columns per call; at slot weight 1 a key splits with one
+remainder.  Sums that cancel stay in the block as zeros, skipped by the
+letters that follow, until _apply_word drops them at the end of the
+word.  _from_blocks checks each integer block as ints, keys in range and
+values nonzero, and writes it back as fractions without SparseMat's
+per-entry check.  It is the only matrix product: compose, power, inverse
+and scaled (by a 1 x 1 letter) use it on a single slot, tensor on two,
+and yangbaxter's check_ybe, braid_rep and conjugate on tensor powers.
 """
 
 from __future__ import annotations
@@ -433,12 +437,28 @@ def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int,
     and products of degree >= len(vec) are dropped.  Entry i of column j
     has key j * dim + i.  As dim is a multiple of nn * base, a key splits
     as e = (hi * nn + pair) * base + lo with the column inside hi, and
-    the letter acts on pair.
+    the letter acts on pair; at base 1 there is no lo, and the split is
+    one remainder.  Sums that cancel stay stored as zeros, which add no
+    products here and which _apply_word drops once at the end of the
+    word.
     """
     nn = len(letter[0])
     out: list[dict[int, int]] = [{} for _ in vec]
     for part, table in zip(vec, letter):
+        if base == 1:
+            for e, a in part.items():
+                if not a:
+                    continue
+                pair = e % nn
+                rest = e - pair
+                for deg, shift, c in table[pair]:
+                    dst = out[deg]
+                    key = rest + shift
+                    dst[key] = dst.get(key, 0) + c * a
+            continue
         for e, a in part.items():
+            if not a:
+                continue
             q, lo = divmod(e, base)
             pair = q % nn
             rest = (q - pair) * base + lo
@@ -446,13 +466,16 @@ def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int,
                 dst = out[deg]
                 key = rest + shift
                 dst[key] = dst.get(key, 0) + c * a
-    return [{e: a for e, a in part.items() if a} for part in out]
+    return out
 
 
 def _apply_word(letters, word, vec):
+    """Apply the (form, base) steps of word to the block vec, the first
+    step first, and drop the zeros of the result: its blocks store
+    nonzero entries only."""
     for step in word:
         vec = _apply_slots(letters[step], step[1], vec)
-    return vec
+    return [{e: a for e, a in part.items() if a} for part in vec]
 
 
 def _block(start: int, stop: int, dim: int, order: int) -> list[dict[int, int]]:
@@ -482,16 +505,27 @@ def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
 def _from_blocks(blocks, dens, dim: int, order: int) -> PolyMat:
     """The dim x dim PolyMat of integer blocks of columns, degree k of
     each block over dens[k], each block written back as fractions before
-    the next one is drawn."""
+    the next one is drawn.  Each block is checked as ints, its keys in
+    0..dim*dim-1 and its values nonzero, and the parts are built from
+    these checked entries without SparseMat's per-entry check."""
     # entries repeat across columns: build each Fraction once per degree
     fracs: list[dict[int, Fraction]] = [{} for _ in range(order)]
     parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
+    size = dim * dim
     for vec in blocks:
         for part, den, dst, cache in zip(vec, dens, parts, fracs):
+            if not part:
+                continue
+            if min(part) < 0 or max(part) >= size:
+                raise DimensionMismatch(f"block key out of range for a "
+                                        f"{dim} x {dim} matrix")
+            if not all(part.values()):
+                raise ValueError("stored zero entry")
             for key, a in part.items():
                 f = cache.get(a)
                 if f is None:
                     f = cache[a] = Fraction(a, den)
                 j, i = divmod(key, dim)
                 dst[(i, j)] = f
-    return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
+    return PolyMat(dim, order,
+                   (SparseMat._unchecked(dim, dim, p) for p in parts))

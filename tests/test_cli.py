@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -386,3 +389,21 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         else:
             code, _, _ = run(capsys, *argv)
         assert code == 0, argv
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader closes its end before yb writes its 19684-byte report
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ybrack.cli", "--format", "json", "braid",
+            "--rack", "dihedral:4", "--word", "1 3 -2", "--strands", "4"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: standard output closed early "
+                                "(broken pipe)"]

@@ -3,14 +3,31 @@ import json
 
 import pytest
 
-from ybrack import racks
-from ybrack.racks import (ClosureCapExceeded, Perm, RackError,
+from ybrack import cohomology, racks
+from ybrack.racks import (ClosureCapExceeded, Perm, Rack, RackError,
                           RackSpecError, behavioral_classes, class_ids,
                           closure, conjugation_quandle, dihedral_rack,
                           inner_group, parse_perm, rack_from_json,
                           rack_from_name, square_reflection_quandle,
                           tetrahedral_quandle, transposition_quandle,
                           trivial_rack, validate_rack)
+
+
+# -- the Rack key ----------------------------------------------------------
+
+def test_equal_racks_hash_equal_and_share_cache_entries():
+    a = dihedral_rack(6)
+    b = validate_rack([list(row) for row in a.table])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Rack(a.size, a.table, False) != a
+    assert dihedral_rack(5) != a
+    for cached, call in ((racks._rho, lambda r: r.rho(2)),
+                         (cohomology._partial_tables,
+                          lambda r: cohomology._partial_tables(r, 2, 1))):
+        cached.cache_clear()
+        assert call(a) is call(b)
+        info = cached.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 # -- permutations --------------------------------------------------------
