@@ -152,19 +152,11 @@ def closure(start, step, cap: int) -> list:
 
 @dataclass(frozen=True)
 class Rack:
-    """Validated finite rack; table[x][y] = x*y.  Its hash is computed
-    once: racks key the lru_caches of _rho and _partial_tables."""
+    """Validated finite rack; table[x][y] = x*y."""
 
     size: int
     table: tuple[tuple[int, ...], ...]
     is_quandle: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.size, self.table, self.is_quandle)))
-
-    def __hash__(self):
-        return self._hash
 
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]

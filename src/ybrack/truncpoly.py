@@ -14,10 +14,9 @@ _apply_slots: a matrix is rescaled once to integer coefficient matrices
 in u = h/D, and each letter of a word (a matrix at one slot weight) is
 compiled once into its products per input power of u and slot value.  A
 letter acts on one tensor slot or on two adjacent ones, and on a whole
-block of basis columns per call; at slot weight 1 a key splits with one
-remainder.  Sums that cancel stay in the block as zeros, skipped by the
-letters that follow, until _apply_word drops them at the end of the
-word.  _from_blocks checks each integer block as ints, keys in range and
+block of basis columns per call.  Sums that cancel stay in the block as
+zeros, skipped by the letters that follow, until _apply_word drops them
+at the end of the word.  _from_blocks checks each integer block as ints, keys in range and
 values nonzero, and writes it back as fractions without SparseMat's
 per-entry check.  It is the only matrix product: compose, power, inverse
 and scaled (by a 1 x 1 letter) use it on a single slot, tensor on two,
@@ -437,31 +436,18 @@ def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int,
     and products of degree >= len(vec) are dropped.  Entry i of column j
     has key j * dim + i.  As dim is a multiple of nn * base, a key splits
     as e = (hi * nn + pair) * base + lo with the column inside hi, and
-    the letter acts on pair; at base 1 there is no lo, and the split is
-    one remainder.  Sums that cancel stay stored as zeros, which add no
-    products here and which _apply_word drops once at the end of the
-    word.
+    the letter acts on pair = e // base % nn, leaving e - pair * base.
+    Sums that cancel stay stored as zeros, which add no products here
+    and which _apply_word drops once at the end of the word.
     """
     nn = len(letter[0])
     out: list[dict[int, int]] = [{} for _ in vec]
     for part, table in zip(vec, letter):
-        if base == 1:
-            for e, a in part.items():
-                if not a:
-                    continue
-                pair = e % nn
-                rest = e - pair
-                for deg, shift, c in table[pair]:
-                    dst = out[deg]
-                    key = rest + shift
-                    dst[key] = dst.get(key, 0) + c * a
-            continue
         for e, a in part.items():
             if not a:
                 continue
-            q, lo = divmod(e, base)
-            pair = q % nn
-            rest = (q - pair) * base + lo
+            pair = e // base % nn
+            rest = e - pair * base
             for deg, shift, c in table[pair]:
                 dst = out[deg]
                 key = rest + shift

@@ -3,9 +3,9 @@ oracle, and the matrices it writes back against the checking SparseMat
 constructor.
 
 _apply_word drops the zeros of a block once, at the end of a word, and
-_apply_slots splits a key with one remainder at base 1.  The oracle here
-is the kernel without either: every key split by divmod, the zeros
-dropped after every letter.  _from_blocks builds its parts without
+_apply_slots splits a key as pair = e // base % nn, rest = e - pair *
+base.  The oracle here is the kernel without either: every key split by
+divmod, the zeros dropped after every letter.  _from_blocks builds its parts without
 SparseMat's per-entry check, so every product below is rebuilt part by
 part through SparseMat(rows, cols, entries), which makes that check.
 """
