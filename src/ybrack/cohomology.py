@@ -23,26 +23,30 @@ of d^d and the check that d^d kills a list of vectors.
 
 _row_sums assembles the matrix of d^d on the indicator cochains instead,
 as flat rows (col, int, col, int, ...) sorted by column with zeros
-dropped, in n chunks, one pass over the cells for each value t of the
-last slot of x.  Every d_i, i < d, keeps the last slot of u as that of
-x, and the a-th term pair of d_d puts a there.  So pass t takes the full
-d_i, i < d, of the cells with u_last = t and only the a = t pair of d_d,
-no other pass adds to its rows, and each chunk is final when its pass
-ends: it can be used and freed before the next one is built, and
-elimination can stop at the first prefix of chunks that reaches its
-rank.  The chunks give coboundary_matrix (one Fraction per distinct
-value) and cocycle_space, which deduplicates the nonzero rows of each
-chunk, up to sign, as it comes and hands the distinct rows straight to
+dropped, in n^2 blocks, one pass over cells for each pair (t, s) of the
+last slots of x and y.  Every d_i, i < d, keeps the last slots of u and
+v as those of x and y, and the a-th term pair of d_d puts a in both.  So
+the pass of block (t, s != t) takes the d_i, i < d, of the cells ending
+in (t, s), that of block (t, t) takes those of the cells ending in
+(t, t) and the a = t pair of d_d of every cell, no other pass adds to
+their rows, and each block is final when its pass ends: it can be used
+and freed before the next one is built, and elimination can stop at the
+first prefix of blocks that reaches its rank.  The values of t come one
+per Inn(Q)-orbit first, then one per behavioural class not yet met,
+then the rest (_last_slots); each t's blocks come by increasing s, the
+diagonal block last.  The blocks give coboundary_matrix (one Fraction
+per distinct value) and cocycle_space, which keeps the nonzero rows of
+all blocks once up to sign and hands those distinct rows straight to
 elimination over Q, as ints, without forming the matrix.
 
 classify(rack, d), d = 1..3, proves Z^d = E^d (+) B^d on integers, with
 no elimination over Q, from the orbit indicators of E^d and the integer
 columns of d^(d-1), each the _image of one cell (its docstring has the
-proof).  d^d kills those vectors, one _image each; the chunks of d^d are
-eliminated mod P as they come, and assembly stops at the first prefix
-that reaches the rank the proof needs, in practice within two of the n
-chunks.  split_solver(rack, d) splits a vector of E^d + B^d into its
-entropic and coboundary parts on the same vectors.
+proof).  d^d kills those vectors, one _image each; the rows of each
+block of d^d, once each up to sign within the block, are eliminated mod
+P as they come, and assembly stops at the first prefix of blocks that
+reaches the rank the proof needs.  split_solver(rack, d) splits a vector
+of E^d + B^d into its entropic and coboundary parts on the same vectors.
 
 A cochain is entropic when every partial coboundary kills it;
 equivalently it is quasi-diagonal (vanishes unless every slot pair is
@@ -193,24 +197,51 @@ def _image(rack: Rack, degree: int, partials, cells) -> dict[int, int]:
     return {r: t for r, t in out.items() if t}
 
 
+def _last_slots(rack: Rack) -> list[int]:
+    """The values of the last slot in the order _row_sums takes them: the
+    least element of each Inn(Q)-orbit of Q, then the least of each
+    behavioural class none of those meets, then the rest, each part in
+    increasing order.  Inner automorphisms map the blocks of one last
+    slot onto those of another in its orbit, so the first blocks read see
+    every orbit and class, whatever the labelling of the rack."""
+    ids = class_ids(rack)
+    order: list[int] = []
+    seen: set = set()
+    for x in range(rack.size):
+        if x not in seen:
+            seen.update(y for (y,) in inner_orbit(rack, (x,)))
+            order.append(x)
+    met = {ids[x] for x in order}
+    for x in range(rack.size):
+        if ids[x] not in met:
+            met.add(ids[x])
+            order.append(x)
+    return order + [x for x in range(rack.size) if x not in order]
+
+
 def _row_sums(rack: Rack, degree: int, partials):
     """Sum of sign * d_i over the (i, sign) in partials, applied to the
     indicator cochains of degree d, column col = encode(u) * n^d + encode(v)
     the indicator of (u -> v), as lazily built matrix rows.
 
-    Yields n dicts {row: (col, total, col, total, ...)}, the t-th holding
-    the rows whose x ends in t, with row = encode(x) * n^(d+1) + encode(y),
-    the index of Cochain.to_vector, so (row // n^(d+1)) % n == t.  Chunk
-    t is complete when yielded: every term of d_i, i < d, on a cell
-    (u -> v) lands in a row with x_last = u_last, and the a-th term pair
-    of d_d in a row with x_last = a.  So pass t takes the full d_i, i < d,
-    of the cells with u_last = t and the a = t pair of d_d of every cell,
-    and no other pass touches its rows.  Each row is a flat tuple in
-    increasing col with no zero total, empty when all its terms cancel.
-    Because the cols arrive in order, a term in the row's last col merges
-    into that pair, which is dropped when it sums to zero, and any other
-    term is appended.  Elimination can stop at the first prefix of chunks
-    that reaches the rank it needs; vectors go through _image instead.
+    Yields n^2 blocks {row: (col, total, col, total, ...)}, block (t, s)
+    holding the rows whose x ends in t and y in s, with row = encode(x) *
+    n^(d+1) + encode(y), the index of Cochain.to_vector, so row // n^(d+1)
+    % n == t and row % n == s.  Each block is complete when yielded: every
+    term of d_i, i < d, on a cell (u -> v) lands in a row with (x_last,
+    y_last) = (u_last, v_last), and the a-th term pair of d_d in a row with
+    x_last = y_last = a.  So the pass of block (t, s != t) takes the d_i,
+    i < d, of the cells with (u_last, v_last) = (t, s); that of block
+    (t, t) takes those of the cells ending in (t, t) and the a = t pair of
+    d_d of every cell, walking all cells in column order; and no other
+    pass touches their rows.  The blocks come by t in _last_slots order
+    and, within each t, by increasing s with the diagonal block last.  Each
+    row is a flat tuple in increasing col with no zero total, empty when
+    all its terms cancel.  Because the cols arrive in order, a term in the
+    row's last col merges into that pair, which is dropped when it sums to
+    zero, and any other term is appended.  Elimination can stop at the
+    first prefix of blocks that reaches the rank it needs; vectors go
+    through _image instead.
     """
     n = rack.size
     N = n ** (degree + 1)
@@ -219,43 +250,53 @@ def _row_sums(rack: Rack, degree: int, partials):
             for i, sign in partials if i < degree]
     last = [(sign, *_partial_tables(rack, degree, i)[4:])
             for i, sign in partials if i == degree]
-    for t in range(n):
+    for t in _last_slots(rack):
         # the a = t pair of d_d adds (u -> v) to the row of (u t -> v t),
         # px[u] + v * n, and subtracts it from the row of (u' t -> v' t),
         # nx[u] + ny[v], where ' moves every slot by rho(t)^-1
         pairs = [(sign, [u * n * N + t * (N + 1) for u in range(len(hx))],
                   [h[t] for h in hx], [h[t] for h in hy])
                  for sign, hx, hy in last]
-        rows: dict = {}
-        get = rows.get
-        for col in range(dim * dim):
-            uc, vc = divmod(col, dim)
-            groups = []
-            if uc % n == t:
-                for sign, T, a_off, tail_x, tail_y, head_x, head_y in full:
-                    hx, tx = divmod(uc, T)
-                    hy, ty = divmod(vc, T)
-                    base = (hx * n * T + tx) * N + hy * n * T + ty
-                    back = tail_y[ty]
-                    groups.append(([base + off + back[c] for off, c
-                                    in zip(a_off, tail_x[tx])], sign))
-                    base = tx * N + ty
-                    groups.append(([base + p + q for p, q in
-                                    zip(head_x[hx], head_y[hy])], -sign))
-            for sign, px, nx, ny in pairs:
-                groups.append(((px[uc] + vc * n,), sign))
-                groups.append(((nx[uc] + ny[vc],), -sign))
-            for terms, w in groups:
-                for r in terms:
-                    row = get(r)
-                    if not row:
-                        rows[r] = (col, w)
-                    elif row[-2] != col:
-                        rows[r] = row + (col, w)
-                    else:
-                        s = row[-1] + w
-                        rows[r] = row[:-1] + (s,) if s else row[:-2]
-        yield rows
+        for s in [*range(t), *range(t + 1, n), t]:
+            diagonal = s == t
+            us = range(dim) if diagonal else range(t, dim, n)
+            vs = range(dim) if diagonal else range(s, dim, n)
+            rows: dict = {}
+            get = rows.get
+            for uc in us:
+                for vc in vs:
+                    col = uc * dim + vc
+                    groups = []
+                    if uc % n == t and vc % n == s:
+                        for (sign, T, a_off, tail_x, tail_y, head_x,
+                             head_y) in full:
+                            hx, tx = divmod(uc, T)
+                            hy, ty = divmod(vc, T)
+                            base = (hx * n * T + tx) * N + hy * n * T + ty
+                            back = tail_y[ty]
+                            groups.append(([base + off + back[c] for off, c
+                                            in zip(a_off, tail_x[tx])],
+                                           sign))
+                            base = tx * N + ty
+                            groups.append(([base + p + q for p, q in
+                                            zip(head_x[hx], head_y[hy])],
+                                           -sign))
+                    if diagonal:
+                        for sign, px, nx, ny in pairs:
+                            groups.append(((px[uc] + vc * n,), sign))
+                            groups.append(((nx[uc] + ny[vc],), -sign))
+                    for terms, w in groups:
+                        for r in terms:
+                            row = get(r)
+                            if not row:
+                                rows[r] = (col, w)
+                            elif row[-2] != col:
+                                rows[r] = row + (col, w)
+                            else:
+                                total = row[-1] + w
+                                rows[r] = (row[:-1] + (total,) if total
+                                           else row[:-2])
+            yield rows
 
 
 def _alternating(degree: int) -> list[tuple[int, int]]:
@@ -306,7 +347,7 @@ def _check_degree(rack: Rack, degree: int) -> None:
 
 
 def _matrix_rows(rack: Rack, degree: int, partials):
-    """The chunks of _row_sums for the signed sum of partials; raises
+    """The blocks of _row_sums for the signed sum of partials; raises
     before assembling anything too large."""
     _check_degree(rack, degree)
     return _row_sums(rack, degree, partials)
@@ -318,8 +359,8 @@ def _matrix(rack: Rack, degree: int, partials) -> SparseMat:
     n = rack.size
     return SparseMat(n ** (2 * degree + 2), n ** (2 * degree), {
         (r, c): fracs.get(t) or fracs.setdefault(t, Fraction(t))
-        for chunk in _matrix_rows(rack, degree, partials)
-        for r, row in chunk.items() for c, t in zip(row[::2], row[1::2])})
+        for block in _matrix_rows(rack, degree, partials)
+        for r, row in block.items() for c, t in zip(row[::2], row[1::2])})
 
 
 def partial_coboundary_matrix(rack: Rack, degree: int, i: int) -> SparseMat:
@@ -339,8 +380,8 @@ def cocycle_space(rack: Rack, degree: int) -> Subspace:
     """Z^d: kernel of the degree-d coboundary matrix, eliminated from its
     distinct integer rows without forming the matrix."""
     distinct = linalg.distinct_rows(
-        row for chunk in _matrix_rows(rack, degree, _alternating(degree))
-        for row in chunk.values())
+        row for block in _matrix_rows(rack, degree, _alternating(degree))
+        for row in block.values())
     return linalg.row_kernel(rack.size ** (2 * degree), distinct)
 
 
@@ -569,9 +610,14 @@ def classify(rack: Rack, degree: int) -> CohomologyReport:
       1. d^d kills every one of them exactly, so E^d + B^d lies in Z^d;
       2. they have rank mod P at least dim E^d + dim B^d.  Since
          rank_P <= rank_Q for integer vectors, E^d meets B^d only in 0;
-      3. the distinct rows of d^d, read chunk by chunk, reach rank mod P
-         n^(2d) - dim(E^d + B^d), so dim Z^d <= dim(E^d + B^d); the
-         assembly stops at the first prefix that does.
+      3. the rows of d^d, read block by block (_row_sums), reach rank
+         mod P n^(2d) - dim(E^d + B^d), so dim Z^d <= dim(E^d + B^d);
+         the assembly stops at the first prefix of blocks that does.
+         Each block is final when yielded, so its rows are taken once
+         each up to sign within the block and the block is then freed;
+         a row repeated in a later block reduces to zero and adds no
+         rank.  The last slots of x come one per Inn(Q)-orbit first
+         (_last_slots), each with its diagonal block last.
     If a check or a rank falls short, the report comes from exact
     elimination instead: B^d as the image of d^(d-1), E^d and their sum
     and intersection over Q, and dim Z^d from the exact kernel of
@@ -581,9 +627,8 @@ def classify(rack: Rack, degree: int) -> CohomologyReport:
     """
     n = rack.size
     # _matrix_rows runs its size guard here, before anything is built
-    rows = linalg.unique_rows(
-        row for chunk in _matrix_rows(rack, degree, _alternating(degree))
-        for row in chunk.values())
+    rows = (row for block in _matrix_rows(rack, degree, _alternating(degree))
+            for row in linalg.unique_rows(block.values()))
     dim_b = 0 if degree == 1 else (
         n ** (2 * degree - 2) - classify(rack, degree - 1).dim_z)
     indicators, columns = span_columns(rack, degree)

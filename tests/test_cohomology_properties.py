@@ -211,7 +211,7 @@ def test_h2_splits_as_entropic_plus_coboundaries(rack_degree):
     lambda d: st.tuples(racks(min_size=2), st.just(d))), st.data())
 def test_flat_images_match_the_chunked_coboundary_matrix(rack_degree, data):
     # _columns and _kills apply d^d to vectors in one flat pass;
-    # coboundary_matrix is assembled from the chunked rows of _row_sums
+    # coboundary_matrix is assembled from the blocks of rows of _row_sums
     rack, degree = rack_degree
     m = coboundary_matrix(rack, degree)
     assert _columns(rack, degree) == [{r: int(v) for r, v in col.items()}
@@ -267,6 +267,12 @@ def up_to_sign(row):
     return tuple(key)
 
 
+def last_slots(block, n, degree):
+    """The set of (x_last, y_last) of the rows of a block of
+    _matrix_rows."""
+    return {(r // n ** (degree + 1) % n, r % n) for r in block}
+
+
 @settings(max_examples=30)
 @given(st.sampled_from([1, 2, 3]).flatmap(
     lambda d: st.tuples(racks(max_size=3 if d < 3 else 2), st.just(d))),
@@ -280,14 +286,18 @@ def test_coboundary_matrix_and_eliminated_rows_match_naive_oracle(
     # the naive oracle visits every output index pair, so a few columns
     js = data.draw(st.lists(st.integers(0, m.cols - 1), min_size=1,
                             max_size=6, unique=True))
-    # the assembly's chunks: chunk t holds the rows whose x ends in t,
-    # no row is in two chunks, and together they are the oracle's rows
-    chunks = list(_matrix_rows(rack, degree, _alternating(degree)))
-    assert len(chunks) == n
-    for t, chunk in enumerate(chunks):
-        assert all((r // n ** (degree + 1)) % n == t for r in chunk)
-    union = {r: row for chunk in chunks for r, row in chunk.items()}
-    assert len(union) == sum(map(len, chunks))
+    # the assembly's blocks: block (t, s) holds only rows whose x ends in
+    # t and y in s, each t's blocks come by increasing s with (t, t)
+    # last, no row is in two blocks, and together they are the oracle's
+    # rows
+    blocks = list(_matrix_rows(rack, degree, _alternating(degree)))
+    assert len(blocks) == n * n
+    pairs = [last_slots(block, n, degree) for block in blocks]
+    ts = [min(p)[0] for p in pairs[::n]]
+    assert pairs == [{(t, s)} for t in ts
+                     for s in [*range(t), *range(t + 1, n), t]]
+    union = {r: row for block in blocks for r, row in block.items()}
+    assert len(union) == sum(map(len, blocks))
     for j in js:
         indicator = Cochain.from_vector(n, degree, {j: Fraction(1)})
         want = naive_coboundary(rack, indicator).to_vector()
@@ -312,3 +322,37 @@ def test_coboundary_matrix_and_eliminated_rows_match_naive_oracle(
     want = {up_to_sign({c: int(v) for c, v in r.items()})
             for r in m.row_vectors() if r}
     assert sorted(map(up_to_sign, rows)) == sorted(want)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(racks(max_size=4 if d < 3 else 3), st.just(d))),
+    st.randoms(use_true_random=False))
+def test_blocks_meet_every_inner_orbit_first_and_labels_do_not_matter(
+        rack_degree, rng):
+    rack, degree = rack_degree
+    n = rack.size
+    blocks = list(_matrix_rows(rack, degree, _alternating(degree)))
+    pairs = [pair for block in blocks for pair in last_slots(block, n, degree)]
+    assert len(pairs) == len(blocks)
+    assert sorted(pairs) == [(t, s) for t in range(n) for s in range(n)]
+    ts = [t for t, _ in pairs[::n]]
+    # the first ts lie one in each Inn(Q)-orbit, by enumeration of
+    # Inn(Q); the next ones one in each behavioural class not yet met
+    group = inner_group(rack).elements
+    orbits = {frozenset(g(x) for g in group) for x in range(n)}
+    k = len(orbits)
+    assert {o for o in orbits for t in ts[:k] if t in o} == orbits
+    classes = {frozenset(y for y in range(n) if rack.rho(y) == rack.rho(x))
+               for x in range(n)}
+    unmet = {c for c in classes if not c & set(ts[:k])}
+    assert {c for c in classes for t in ts[k:k + len(unmet)]
+            if t in c} == unmet
+    # a relabeling x -> sigma[x] changes no dimension and no verdict
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[sigma[x]][sigma[y]] = sigma[rack.table[x][y]]
+    assert classify(validate_rack(table), degree) == classify(rack, degree)
