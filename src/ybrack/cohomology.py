@@ -32,9 +32,8 @@ in (t, s), that of block (t, t) takes those of the cells ending in
 their rows, and each block is final when its pass ends: it can be used
 and freed before the next one is built, and elimination can stop at the
 first prefix of blocks that reaches its rank.  The values of t come one
-per Inn(Q)-orbit first, then one per behavioural class not yet met,
-then the rest (_last_slots); each t's blocks come by increasing s, the
-diagonal block last.  The blocks give coboundary_matrix (one Fraction
+per Inn(Q)-orbit first, then the rest (_last_slots); each t's blocks
+come by increasing s, the diagonal block last.  The blocks give coboundary_matrix (one Fraction
 per distinct value) and cocycle_space, which keeps the nonzero rows of
 all blocks once up to sign and hands those distinct rows straight to
 elimination over Q, as ints, without forming the matrix.
@@ -199,22 +198,15 @@ def _image(rack: Rack, degree: int, partials, cells) -> dict[int, int]:
 
 def _last_slots(rack: Rack) -> list[int]:
     """The values of the last slot in the order _row_sums takes them: the
-    least element of each Inn(Q)-orbit of Q, then the least of each
-    behavioural class none of those meets, then the rest, each part in
+    least element of each Inn(Q)-orbit of Q, then the rest, each part in
     increasing order.  Inner automorphisms map the blocks of one last
     slot onto those of another in its orbit, so the first blocks read see
-    every orbit and class, whatever the labelling of the rack."""
-    ids = class_ids(rack)
+    every orbit, whatever the labelling of the rack."""
     order: list[int] = []
     seen: set = set()
     for x in range(rack.size):
         if x not in seen:
             seen.update(y for (y,) in inner_orbit(rack, (x,)))
-            order.append(x)
-    met = {ids[x] for x in order}
-    for x in range(rack.size):
-        if ids[x] not in met:
-            met.add(ids[x])
             order.append(x)
     return order + [x for x in range(rack.size) if x not in order]
 
