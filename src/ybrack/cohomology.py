@@ -16,8 +16,8 @@ operators d_i.  In index form, each d_i f has two terms on (d+1)-tuples
 
 Every coboundary is computed on integers from per-partial index tables:
 each cell (u -> v) sends its 2n terms through d_i by list lookups.
-_image applies it to an integer vector in one flat pass over the cells,
-summing the terms as ints in one dict; it serves the cochain coboundary
+_image applies it to a vector in one flat pass over the cells, summing
+the terms in one dict (ints stay ints); it serves the cochain coboundary
 (over the common denominator of the cochain), is_entropic, the columns
 of d^d and the check that d^d kills a list of vectors.
 
@@ -33,10 +33,11 @@ their rows, and each block is final when its pass ends: it can be used
 and freed before the next one is built, and elimination can stop at the
 first prefix of blocks that reaches its rank.  The values of t come one
 per Inn(Q)-orbit first, then the rest (_last_slots); each t's blocks
-come by increasing s, the diagonal block last.  The blocks give coboundary_matrix (one Fraction
-per distinct value) and cocycle_space, which keeps the nonzero rows of
-all blocks once up to sign and hands those distinct rows straight to
-elimination over Q, as ints, without forming the matrix.
+come by increasing s, the diagonal block last.  The blocks give
+coboundary_matrix (one Fraction per distinct value) and cocycle_space,
+which keeps the nonzero rows of all blocks once up to sign and hands
+those distinct rows straight to elimination over Q, as ints, without
+forming the matrix.
 
 classify(rack, d), d = 1..3, proves Z^d = E^d (+) B^d on integers, with
 no elimination over Q, from the orbit indicators of E^d and the integer
@@ -165,13 +166,14 @@ def _partial_tables(rack: Rack, degree: int, i: int) -> tuple:
 
 def _image(rack: Rack, degree: int, partials, cells) -> dict[int, int]:
     """Sum of sign * d_i over the (i, sign) in partials, applied to the
-    integer cells (encode(u), encode(v), value) of a degree-d vector, value
-    times (u -> v), as {row: total} with no zero total; row = encode(x) *
-    n^(d+1) + encode(y), the index of Cochain.to_vector.
+    cells (encode(u), encode(v), value) of a degree-d vector, value times
+    (u -> v), as {row: total} with no zero total; row = encode(x) *
+    n^(d+1) + encode(y), the index of Cochain.to_vector.  Values may be
+    ints or Fractions; int values give int totals.
 
     One pass over the cells sends each cell's 2n terms per partial through
     that partial's full _partial_tables, d_d (T = 1) included, and sums
-    them as ints in one dict.
+    them in one dict.
     """
     n = rack.size
     N = n ** (degree + 1)
@@ -516,9 +518,9 @@ def _indicators(basis: EntropicBasis) -> list[dict[int, int]]:
 
 
 def _kills(rack: Rack, degree: int, vectors) -> bool:
-    """True iff the degree-d coboundary kills every integer vector
-    {index: value}, indexed as in Cochain.to_vector: one _image per
-    vector, stopping at the first that is nonzero."""
+    """True iff the degree-d coboundary kills every vector {index: int or
+    Fraction}, indexed as in Cochain.to_vector: one _image per vector,
+    stopping at the first that is nonzero."""
     dim = rack.size ** degree
     partials = _alternating(degree)
     return not any(_image(rack, degree, partials,
@@ -539,7 +541,8 @@ def split_solver(rack: Rack, degree: int):
     """The split of a degree-d cocycle as entropic + coboundary, d = 1..3.
 
     Echelonizes [orbit indicators of E^d | integer columns of d^(d-1)]
-    (span_columns) once with linalg.solver.  The returned function maps a
+    (span_columns) once with linalg.solver, on the ints as they are, which
+    stay ints while the pivots are +-1.  The returned function maps a
     vector v, indexed as in Cochain.to_vector, to (a, g) with v = sum of
     a[o] * indicator o + d^(d-1) g, a keyed by the orbits of
     entropic_basis(rack, d) and g a degree-(d-1) vector, or to None when v
@@ -549,10 +552,7 @@ def split_solver(rack: Rack, degree: int):
     """
     _check_degree(rack, degree)
     indicators, columns = span_columns(rack, degree)
-    vectors = indicators + columns
-    solve = linalg.solver(SparseMat(rack.size ** (2 * degree), len(vectors), {
-        (i, j): Fraction(v) for j, vec in enumerate(vectors)
-        for i, v in vec.items()}))
+    solve = linalg.solver(rack.size ** (2 * degree), indicators + columns)
     m = len(indicators)
 
     def split(v: Vec) -> tuple[Vec, Vec] | None:
@@ -636,7 +636,6 @@ def classify(rack: Rack, degree: int) -> CohomologyReport:
     e = entropic_basis(rack, degree).subspace()
     dim_sum, dim_int = linalg.sum_and_intersection_dims(e, b)
     dim_z = cocycle_space(rack, degree).dim
-    split = dim_int == 0 and _kills(rack, degree, map(
-        linalg.integer_multiple, e.basis + b.basis))
+    split = dim_int == 0 and _kills(rack, degree, e.basis + b.basis)
     return CohomologyReport(n, degree, dim_z, b.dim, e.dim,
                             split and dim_sum == dim_z)

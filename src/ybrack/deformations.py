@@ -207,10 +207,6 @@ class Equivalence:
         if self.mat.constant != SparseMat.identity(self.mat.dim):
             raise ValueError("equivalence must be the identity mod h")
 
-    @property
-    def dim(self) -> int:
-        return self.mat.dim
-
     def conjugate(self, op: YBOperator) -> YBOperator:
         """(alpha x alpha)^{-1} c (alpha x alpha), on the slot kernel."""
         return conjugate(op, self.mat)

@@ -264,6 +264,24 @@ def _eliminate(vectors, pivots: dict[int, Vec], p: int | None):
             r = axpy(r, -r[lead], piv)
 
 
+def _reduced(vectors, p: int | None) -> dict[int, Vec]:
+    """The rows of the reduced row echelon form of vectors by pivot
+    column, over Q or F_p as in _eliminate, each value as elimination
+    left it: over Q, ints that met only pivots of +-1 are still ints."""
+    axpy, _ = _field_ops(p)
+    pivots: dict[int, Vec] = {}
+    for _ in _eliminate(vectors, pivots, p):
+        pass
+    # back-substitute for the reduced form, last pivot first: the rows
+    # already reduced hold no pivot column but their own
+    for pc in sorted(pivots, reverse=True):
+        r = pivots[pc]
+        for c in [c for c in r if c != pc and c in pivots]:
+            r = axpy(r, -r[c], pivots[c])
+        pivots[pc] = r
+    return pivots
+
+
 def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form of an iterable of sparse row vectors, over
     Q, or over F_p when the prime p is given and the entries are ints
@@ -274,18 +292,8 @@ def rref(vectors, p: int | None = None) -> tuple[list[Vec], list[int]]:
     The result is the canonical basis of the row space; over Q every
     entry is a Fraction, over F_p an int in [0, p).
     """
-    axpy, _ = _field_ops(p)
-    pivots: dict[int, Vec] = {}
-    for _ in _eliminate(vectors, pivots, p):
-        pass
+    pivots = _reduced(vectors, p)
     piv_cols = sorted(pivots)
-    # back-substitute for the reduced form, last pivot first: the rows
-    # already reduced hold no pivot column but their own
-    for pc in reversed(piv_cols):
-        r = pivots[pc]
-        for c in [c for c in r if c != pc and c in pivots]:
-            r = axpy(r, -r[c], pivots[c])
-        pivots[pc] = r
     if p is not None:
         return [{c: v % p for c, v in pivots[pc].items()}
                 for pc in piv_cols], piv_cols
@@ -418,13 +426,6 @@ def row_kernel(cols: int, rows: list[tuple]) -> Subspace:
     return Subspace.from_vectors(cols, list(free.values()))
 
 
-def integer_multiple(v: Vec) -> dict[int, int]:
-    """v times the lcm of its denominators, as ints."""
-    ratios = {c: q.as_integer_ratio() for c, q in v.items()}
-    den = lcm(*(d for _, d in ratios.values()))
-    return {c: a * (den // d) for c, (a, d) in ratios.items()}
-
-
 def image_basis(m: SparseMat) -> Subspace:
     """Canonical basis of the column span of m."""
     return Subspace.from_vectors(m.rows, [c for c in m.col_vectors() if c])
@@ -448,28 +449,28 @@ def sum_and_intersection_dims(a: Subspace, b: Subspace) -> tuple[int, int]:
     return dim_sum, a.dim + b.dim - dim_sum
 
 
-def solver(m: SparseMat):
-    """Echelonize m once over Q; the returned function maps b to the
-    solution of m x = b with free variables zero, or to None.  Column j is
-    tagged with coordinate top - j past m.rows; in that reverse order a
-    tag is a pivot exactly when its column depends on earlier columns, so
-    the residual of b is zero at the free variables and -x on the other
-    tags, and an entry left below m.rows means b is outside the column
-    space.
+def solver(height: int, columns: list[Vec]):
+    """Echelonize the sparse columns, of the given height, once over Q;
+    the returned function maps b to the solution x of sum of x[j] *
+    columns[j] = b with free variables zero, or to None.  Column j is
+    tagged with an int 1 at coordinate top - j past height; in that
+    reverse order a tag is a pivot exactly when its column depends on
+    earlier columns, so the residual of b is zero at the free variables
+    and -x on the other tags, and an entry left below height means b is
+    outside the column space.
 
-    The reduced rows are held as integer rows over their common
-    denominator L, and b is scaled to integers over its own denominator
-    db, so the residual is reduced as in Subspace.reduce, in Python ints:
-    L*db*b - sum of (db*b)[pc] * (L*row_pc) over the pivots pc that b
-    holds.  Only each solution entry becomes a Fraction."""
-    top = m.rows + m.cols - 1
-    cols = m.col_vectors()
-    for j, col in enumerate(cols):
-        col[top - j] = ONE
-    rows, pivots = rref(cols)
-    den = lcm(*(v.denominator for r in rows for v in r.values()))
+    Values may be ints or Fractions; ints stay ints while the pivots are
+    +-1 (_reduced).  The reduced rows are held as integer rows over their
+    common denominator L, and b is scaled to integers over its own
+    denominator db, so the residual is reduced as in Subspace.reduce, in
+    Python ints: L*db*b - sum of (db*b)[pc] * (L*row_pc) over the pivots
+    pc that b holds.  Only each solution entry becomes a Fraction."""
+    top = height + len(columns) - 1
+    rows = _reduced(({**col, top - j: 1} for j, col in enumerate(columns)),
+                    None)
+    den = lcm(*(v.denominator for r in rows.values() for v in r.values()))
     int_rows = {pc: {i: v.numerator * (den // v.denominator)
-                     for i, v in r.items()} for pc, r in zip(pivots, rows)}
+                     for i, v in r.items()} for pc, r in rows.items()}
 
     def solve(b: Vec) -> Vec | None:
         db = lcm(*(v.denominator for v in b.values()))
@@ -480,7 +481,7 @@ def solver(m: SparseMat):
             s = scaled[pc]
             for i, a in int_rows[pc].items():
                 r[i] = r.get(i, 0) - s * a
-        if any(a for i, a in r.items() if i < m.rows):
+        if any(a for i, a in r.items() if i < height):
             return None
         scale = den * db
         return {top - i: Fraction(-a, scale) for i, a in r.items() if a}
@@ -491,7 +492,7 @@ def invert_rational(m: SparseMat) -> SparseMat:
     """Exact inverse of a rational square matrix, one column per e_i."""
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
-    solve = solver(m)
+    solve = solver(m.rows, m.col_vectors())
     cols = [solve({i: ONE}) for i in range(m.rows)]
     if any(x is None for x in cols):
         raise ZeroDivisionError("matrix is singular")

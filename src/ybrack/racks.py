@@ -232,7 +232,7 @@ def conjugation_quandle(elems: list[Perm]) -> Rack:
     """
     index = {p: i for i, p in enumerate(elems)}
     if len(index) != len(elems):
-        raise RackError("duplicate elements in conjugation subset")
+        raise RackSpecError("duplicate elements in conjugation subset")
     n = len(elems)
     if n == 0:
         raise RackSpecError("empty rack is not supported")

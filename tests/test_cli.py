@@ -149,6 +149,23 @@ def test_deform_wrong_lambda_count(capsys):
     assert code == 2 and "orbits" in err
 
 
+def test_singular_deformation_is_math_failure(capsys):
+    # lambda = -1 on dihedral:3's one orbit makes II + f singular
+    code, out, err = run(capsys, "deform", "--rack", "dihedral:3",
+                         "--lambda", '["-1"]')
+    assert code == 1 and out == ""
+    assert err.startswith("deformation not invertible")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["validate"], ["check", "--rack"]])
+def test_repeated_conjugation_element_is_input_error(capsys, command):
+    code, out, err = run(capsys, *command, "conj:S3:(12),(12),(13),(23)")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "duplicate" in err
+    assert err.count("\n") == 1
+
+
 def test_deform_rational_lambda(capsys):
     code, data, _ = run_json(capsys, "--trunc", "1", "deform", "--rack",
                              "trivial:2", "--lambda",
@@ -311,8 +328,12 @@ def _operator_json(**change):
     [_operator_json()["matrix"]],
     _operator_json(entries=[[0, 0, ["1", "0", "1"]]]),
     _operator_json(entries=[[0, 0, ["1/0"]]]),
+    _operator_json(dim="9"),
+    _operator_json(entries={}),
+    _operator_json(entries=[[0, 0, "1"]]),
 ], ids=["col-out-of-range", "negative-row", "no-entries", "trunc-0",
-        "top-level-list", "coefficients-over-trunc", "zero-denominator"])
+        "top-level-list", "coefficients-over-trunc", "zero-denominator",
+        "dim-a-string", "entries-an-object", "coefficients-a-string"])
 def test_malformed_operator_json_is_input_error(data, tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(data))

@@ -148,6 +148,16 @@ def test_split_solver_recovers_entropic_part_and_coboundary(rack_degree,
     assert coeffs == {k: x for k, x in enumerate(a) if x}
     assert coboundary(rack, Cochain.from_vector(n, degree - 1, preimage)) \
         == dg
+    # an integer vector of span_columns splits as its Fraction copy does
+    ind, cols = span_columns(rack, degree)
+    j = data.draw(st.integers(0, len(ind) - 1))
+    w = dict(ind[j])
+    for i, t in data.draw(st.sampled_from(cols)).items():
+        w[i] = w.get(i, 0) + t
+    w = {i: t for i, t in w.items() if t}
+    got = split(w)
+    assert got is not None and got[0] == {j: 1}
+    assert split({i: Fraction(t) for i, t in w.items()}) == got
     # one planted entry: None exactly when it leaves Z^d
     idx = data.draw(st.integers(0, n ** (2 * degree) - 1))
     unit = Cochain.from_vector(n, degree, {idx: Fraction(1)})

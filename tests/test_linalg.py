@@ -478,15 +478,15 @@ def test_rank_modular_cross_check_coboundary_matrices():
 
 def test_solve_consistent_and_inconsistent():
     m = SparseMat.from_dense([[1, 2], [2, 4]])
-    x = solver(m)({0: F(3), 1: F(6)})
+    x = solver(m.rows, m.col_vectors())({0: F(3), 1: F(6)})
     assert x is not None
     assert m.apply(x) == {0: F(3), 1: F(6)}
-    assert solver(m)({0: F(3), 1: F(7)}) is None
+    assert solver(m.rows, m.col_vectors())({0: F(3), 1: F(7)}) is None
 
 
 def test_solve_deterministic_free_vars_zero():
     m = SparseMat.from_dense([[1, 1, 0]])
-    x = solver(m)({0: F(5)})
+    x = solver(m.rows, m.col_vectors())({0: F(5)})
     assert x == {0: F(5)}  # free columns stay zero
 
 
@@ -511,9 +511,12 @@ def _augmented_solve(m, b):
 def linear_systems(draw):
     """(m, b): each column of m is random, or planted as zero, as a
     repeat of an earlier column or as a multiple of one; b is m x, or a
-    random vector, often outside the column space."""
+    random vector, often outside the column space.  The values are all
+    Fractions, or all ints as in the integer columns of split_solver."""
     n_rows = draw(st.integers(1, 6))
-    values = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    values = draw(st.sampled_from([
+        st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+        st.integers(-3, 3)]))
 
     def nonzero(vec):
         return {i: v for i, v in vec.items() if v}
@@ -546,7 +549,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_solver_matches_augmented_elimination(system):
     m, b = system
-    assert solver(m)(b) == _augmented_solve(m, b)
+    assert solver(m.rows, m.col_vectors())(b) == _augmented_solve(m, b)
 
 
 def test_matmul_apply():
