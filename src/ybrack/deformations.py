@@ -17,15 +17,18 @@ I + h^k g removes the coboundary part without touching lower degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import linalg, reference
 from .cohomology import (Cochain, EntropicBasis, entropic_basis,
                          is_entropic, split_solver)
 from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
-from .truncpoly import PolyMat, TruncPoly
-from .yangbaxter import YBOperator, YbeVerdict, build_cq, build_tau, \
-    check_ybe, conjugate, trace_power
+from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
+                        _compile_word, _from_blocks, _int_block, _rescaled,
+                        _scales, _unipotent_forms)
+from .yangbaxter import YBOperator, YbeVerdict, _conjugate_block, build_cq, \
+    build_tau, check_ybe, conjugate, trace_power
 
 
 class NotInvertibleError(ValueError):
@@ -226,6 +229,16 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     entropic, as E^2 meets B^2 only in 0.  Lower degrees are never
     disturbed.  Returns (alpha, c') with c' = (alpha x alpha)^{-1} op
     (alpha x alpha) and c_Q^{-1} c' entropic in every h-degree.
+
+    The operator and alpha stay in one integer form, from one conversion
+    of the input to one write-back of each: blocks of all their columns
+    in u = h/D.  The degree-k term is the operator's block[k], integers
+    over D^k, and g is the preimage split finds over D^k.  When g brings
+    a new denominator, D becomes lcm(D, den g) and both blocks are
+    rescaled.  Each step is _conjugate_block on the operator's block,
+    with the letters of (I + u^k G)^T and of its inverse, and alpha takes
+    the same (I + u^k G)^T on its columns.  The residual is_entropic
+    check runs on the integers of degree k.
     """
     n = rack.size
     order = op.trunc
@@ -241,27 +254,40 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
                 f"{verdict.witness}")
 
     split = split_solver(rack, 2)
+    dim = n * n
     back = {i: j for i, j in cq.mat.constant.entries}
 
-    def term(current: YBOperator, k: int) -> Cochain:
-        return Cochain(n, 2, {(back[i], j): v for (i, j), v
-                              in current.mat.parts[k].entries.items()})
+    def term(part: dict[int, int]) -> Cochain:
+        return Cochain(n, 2, {(back[e % dim], e // dim): a
+                              for e, a in part.items()})
 
-    alpha = PolyMat.identity(n, order)
-    current = op
+    # op = sum_k u^k block[k] and alpha = sum_k u^k acc[k], u = h/big:
+    # d0 = 1 throughout, as the constant term of op is a permutation and
+    # each step's alpha and alpha^-1 are I mod h
+    big = _scales(op.mat)[1]
+    block = _int_block(op.mat, 1, big)
+    acc = _block(0, n, n, order)
     for k in range(1, order):
-        result = split(term(current, k).to_vector())
+        result = split(term(block[k]).to_vector())
         if result is None:
             raise DecompositionError(
                 f"degree-{k} term is not entropic + coboundary")
-        g = Cochain.from_vector(n, 1, result[1])
-        if g.is_zero():
+        # g's index encode(x) * n + encode(y) is the block key c * n + r
+        g = {e: v / big ** k for e, v in result[1].items()}
+        if not g:
             continue
-        step = Equivalence(PolyMat.identity(n, order).add(
-            PolyMat.from_rational(g, order, h_degree=k)))
-        current = step.conjugate(current)
-        alpha = alpha.compose(step.mat)
-        if not is_entropic(rack, term(current, k)):
+        new = lcm(big, *(v.denominator for v in g.values()))
+        block, acc = _rescaled(block, new // big), _rescaled(acc, new // big)
+        big = new
+        fwd, inv = _unipotent_forms(
+            {e: v.numerator * (big ** k // v.denominator)
+             for e, v in g.items()}, k, n, order)
+        block = _conjugate_block(block, fwd, inv, n)
+        acc = _apply_word(_compile_word([fwd], [(0, n)], order), [(0, n)],
+                          acc)
+        if not is_entropic(rack, term(block[k])):
             raise DecompositionError(
                 f"degree-{k} residual failed to become entropic")
-    return Equivalence(alpha), current
+    dens = [big ** k for k in range(order)]
+    return (Equivalence(_from_blocks([acc], dens, n, order)),
+            YBOperator(n, _from_blocks([block], dens, dim, order)))

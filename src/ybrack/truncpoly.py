@@ -20,7 +20,9 @@ at the end of the word.  _from_blocks checks each integer block as ints, keys in
 values nonzero, and writes it back as fractions without SparseMat's
 per-entry check.  It is the only matrix product: compose, power, inverse
 and scaled (by a 1 x 1 letter) use it on a single slot, tensor on two,
-and yangbaxter's check_ybe, braid_rep and conjugate on tensor powers.
+and yangbaxter's check_ybe, braid_rep and conjugate on tensor powers;
+conjugate starts from the operator's own block and multiplies it on the
+right by letters on the column index.
 """
 
 from __future__ import annotations
@@ -310,18 +312,10 @@ class PolyMat:
             forms.append(_int_form(inv0, s, 1))
             word.append((1, 1))
         letters = _compile_word(forms, word, order)
-        x = acc = _apply_word(letters, word[1:], _block(0, dim, dim, order))
-        terms = 1
-        while any(x := _apply_word(letters, word, x)):
-            terms += 1
-            for dst, part in zip(acc, x):
-                for e in dst:
-                    dst[e] *= s
-                for e, a in part.items():
-                    dst[e] = dst.get(e, 0) + a
+        acc, terms = _series(letters, word, s, _apply_word(
+            letters, word[1:], _block(0, dim, dim, order)))
         dens = [s ** terms * big ** k for k in range(order)]
-        return _from_blocks([[{e: a for e, a in part.items() if a}
-                              for part in acc]], dens, dim, order)
+        return _from_blocks([acc], dens, dim, order)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMat):
@@ -434,9 +428,13 @@ def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int,
     vec is a block of columns of a dim x dim matrix, held
     coefficient-major: vec[k] maps a key to its integer u^k coefficient,
     and products of degree >= len(vec) are dropped.  Entry i of column j
-    has key j * dim + i.  As dim is a multiple of nn * base, a key splits
-    as e = (hi * nn + pair) * base + lo with the column inside hi, and
-    the letter acts on pair = e // base % nn, leaving e - pair * base.
+    has key j * dim + i, and a key splits as e = (hi * nn + pair) * base
+    + lo; the letter acts on pair = e // base % nn, leaving e - pair *
+    base.  Where dim is a multiple of nn * base, the pair is a slot of
+    the row index, the column inside hi, and the letter L maps the block
+    X to L X.  At a base w * dim, nn * w dividing dim, the pair is a slot
+    of the column index, the row inside lo, and the letter maps X to X
+    L^T on that slot: X M is the letter of M^T there.
     Sums that cancel stay stored as zeros, which add no products here
     and which _apply_word drops once at the end of the word.
     """
@@ -468,6 +466,67 @@ def _block(start: int, stop: int, dim: int, order: int) -> list[dict[int, int]]:
     """The basis columns start..stop-1 of a dim x dim matrix as a block."""
     return [{j * dim + j: 1 for j in range(start, stop)}] \
         + [{} for _ in range(order - 1)]
+
+
+def _int_block(mat: PolyMat, d0: int, big: int) -> list[dict[int, int]]:
+    """All columns of mat as one block of the integer matrices of
+    _int_form: mat = (1/d0) sum_k u^k block[k] for u = h/big."""
+    block, dim = [], mat.dim
+    for k, part in enumerate(mat.parts):
+        scale = d0 * big ** k
+        block.append({c * dim + r: a.numerator * (scale // a.denominator)
+                      for (r, c), a in part.entries.items()})
+    return block
+
+
+def _block_form(block, n: int, transpose: bool = False):
+    """The letter form (as of _int_form) of an n x n block, or of its
+    transpose."""
+    form = [[[] for _ in range(n)] for _ in block]
+    for cols, part in zip(form, block):
+        for e, a in part.items():
+            c, r = divmod(e, n)
+            if transpose:
+                r, c = c, r
+            cols[c].append((r, a))
+    return form
+
+
+def _rescaled(block, ratio: int) -> list[dict[int, int]]:
+    """The block in u' = u / ratio: degree k times ratio^k."""
+    if ratio == 1:
+        return block
+    return [{e: a * ratio ** k for e, a in part.items()}
+            for k, part in enumerate(block)]
+
+
+def _series(letters, word, s: int, x):
+    """(acc, m): acc = sum_{i<m} s^(m-1-i) x_i, the zeros dropped, for
+    x_0 = x and x_i the word applied to x_{i-1}, up to the first x_m = 0.
+    The word must raise the degree, so that m <= the truncation order."""
+    acc, terms = x, 1
+    while any(x := _apply_word(letters, word, x)):
+        terms += 1
+        for dst, part in zip(acc, x):
+            for e in dst:
+                dst[e] *= s
+            for e, a in part.items():
+                dst[e] = dst.get(e, 0) + a
+    return [{e: a for e, a in part.items() if a} for part in acc], terms
+
+
+def _unipotent_forms(g: dict[int, int], k: int, n: int, order: int):
+    """(fwd, inv): the letter forms of (I + u^k G)^T and of its inverse,
+    the series of -u^k G, for an n x n integer matrix G held as one part
+    of a block, G[r, c] at key c * n + r, and k >= 1."""
+    step = _block(0, n, n, order)
+    step[k] = g
+    minus = [{} for _ in range(order)]
+    minus[k] = {e: -a for e, a in g.items()}
+    word = [(0, 1)]
+    inv, _ = _series(_compile_word([_block_form(minus, n)], word, order),
+                     word, 1, _block(0, n, n, order))
+    return _block_form(step, n, transpose=True), _block_form(inv, n)
 
 
 def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:

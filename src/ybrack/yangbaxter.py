@@ -13,19 +13,22 @@ check_ybe, braid_rep and conjugate run on the integer slot kernel of
 truncpoly (which also serves PolyMat.compose): it applies a map in
 integer, coefficient-major form to adjacent tensor slots of a block of
 basis columns at a time, so no product of dense tensor powers is ever
-formed.
+formed.  conjugate starts from the operator's own integer block instead
+of basis columns, and never compiles the operator into a letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, DimensionMismatch,
                      SizeOverflow, SparseMat, power_exceeds)
 from .racks import Rack
-from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
-                        _compile_word, _int_form, _scales, _word_matrix)
+from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block, _block_form,
+                        _compile_word, _from_blocks, _int_block, _int_form,
+                        _scales, _word_matrix)
 
 
 @dataclass(frozen=True)
@@ -197,18 +200,42 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
     (alpha x alpha)^{-1} c (alpha x alpha): only the n x n alpha is
     inverted, and no tensor square is formed.
 
-    On one block of all n^2 basis columns, this is a word of five
-    letters on two strands, the last acting first: alpha on slot 0, alpha
-    on slot 1, c on the pair, then alpha^{-1} on slot 0 and on slot 1.
+    c, alpha and alpha^{-1} are each converted once to integer form in
+    one u = h/D, the lcm of their D, and c is the block that
+    _conjugate_block starts from; the result is written back once, over
+    d = d0(c) d0(alpha)^2 d0(alpha^{-1})^2 times D^k in degree k.
     """
     n = alpha.dim
     if op.rack_size != n or op.trunc != alpha.order:
         raise DimensionMismatch(
             f"operator on ({op.rack_size}^2, trunc {op.trunc}) does not "
             f"match alpha ({n}, trunc {alpha.order})")
-    word = [(0, n), (0, 1), (1, 1), (2, n), (2, 1)]
-    return YBOperator(n, _word_matrix([alpha, op.mat, alpha.inverse()],
-                                      word, n * n, op.trunc))
+    inv = alpha.inverse()
+    (d, big), (da, ba), (di, bi) = map(_scales, (op.mat, alpha, inv))
+    big = lcm(big, ba, bi)
+    block = _conjugate_block(_int_block(op.mat, d, big),
+                             _block_form(_int_block(alpha, da, big), n, True),
+                             _int_form(inv, di, big), n)
+    d *= (da * di) ** 2
+    return YBOperator(n, _from_blocks(
+        [block], [d * big ** k for k in range(op.trunc)], n * n, op.trunc))
+
+
+def _conjugate_block(block, fwd, inv, n: int) -> list[dict[int, int]]:
+    """(alpha^{-1} x alpha^{-1}) c (alpha x alpha) on the integer block
+    of all n^2 columns of c, in letters: fwd the form of alpha^T and inv
+    that of alpha^{-1}, both n x n and in the u = h/D of the block.
+
+    A word of four letters on one block that starts from c, never from
+    basis columns: alpha^T on the column slots, at weights n^3 and n^2,
+    which multiply c by alpha x alpha on the right, then alpha^{-1} on
+    the row slots, at weights n and 1.  The result is d0(alpha)^2
+    d0(alpha^{-1})^2 times the integer form of the conjugate.
+    """
+    dim = n * n
+    word = [(0, n * dim), (0, dim), (1, n), (1, 1)]
+    return _apply_word(_compile_word([fwd, inv], word, len(block)), word,
+                       block)
 
 
 def trace_power(op: YBOperator, k: int) -> TruncPoly:

@@ -6,7 +6,17 @@ moved onto the integer slot kernel.  The inputs are entropic deformations
 s(h) c_Q (g tensor g) of dihedral:3 and the square-reflection quandle at
 trunc 3 and 4, conjugated by a dense alpha = I + sum_k h^k A_k, so every
 degree has a nonzero coboundary part and normalization conjugates; the
-last case fails the Yang-Baxter equation and exits 1.
+fifth case fails the Yang-Baxter equation and exits 1.
+
+Two cases were recorded later, by the code before normalization kept its
+operator in integer form across degrees.  The Alexander quandle Z5, t =
+3 (as the conjugation quandle of the 4-cycles x -> 3x + b) at trunc 5,
+built the same way, conjugates in four successive degrees.  dihedral:4
+at trunc 3 is c_Q (I + h^2 e/2), e an entropic orbit indicator, scaled
+and conjugated by alpha = (I + h A_1)(I + h^2 A_2), the A_k dense with
+odd denominators and 1/2 added to A_2 at (0, 0): the input has only odd
+denominators, and after the conjugation of degree 1 the split of degree
+2 brings the denominator 2.
 """
 
 import json

@@ -19,8 +19,8 @@ from ybrack.deformations import (Equivalence, normalize_to_entropic,
                                  poly_mat_is_entropic)
 from ybrack.linalg import DimensionMismatch, SparseMat
 from ybrack.racks import dihedral_rack
-from ybrack.truncpoly import PolyMat, TruncPoly
-from ybrack.yangbaxter import YBOperator, build_cq
+from ybrack.truncpoly import PolyMat, TruncPoly, _scales
+from ybrack.yangbaxter import YBOperator, build_cq, conjugate
 
 
 @st.composite
@@ -88,10 +88,34 @@ def conjugation_cases(draw):
     return Equivalence(alpha), YBOperator(n, op)
 
 
+@st.composite
+def invertible_constants(draw, n):
+    """An invertible n x n rational matrix with a denominator > 1: a
+    lower triangle with nonzero diagonal, its columns permuted."""
+    cells = {(r, c): draw(wide_fractions)
+             for r in range(n) for c in range(r)}
+    cells.update({(i, i): draw(wide_fractions.filter(bool))
+                  for i in range(n)})
+    cells[(0, 0)] = draw(wide_fractions.filter(lambda v: v.denominator > 1))
+    perm = draw(st.permutations(range(n)))
+    return SparseMat(n, n, {(r, perm[c]): v for (r, c), v in cells.items()
+                            if v})
+
+
+@st.composite
+def general_conjugation_cases(draw):
+    """(alpha, op) with d0(alpha) > 1: alpha's constant term invertible
+    and not the identity."""
+    n = draw(st.integers(1, 3))
+    trunc = draw(st.integers(1, 4))
+    alpha = draw(poly_mats(n, trunc, draw(invertible_constants(n))))
+    return alpha, YBOperator(n, draw(poly_mats(n * n, trunc, None)))
+
+
 def dense_conjugate(alpha, op):
     """The tensor-square formula (alpha^-1 x alpha^-1) c (alpha x alpha)."""
-    inv = alpha.mat.inverse()
-    return inv.tensor(inv).compose(op.mat).compose(alpha.mat.tensor(alpha.mat))
+    inv = alpha.inverse()
+    return inv.tensor(inv).compose(op.mat).compose(alpha.tensor(alpha))
 
 
 # denominators in d0(c), in D(c) and in D(alpha), on every power of h
@@ -112,11 +136,24 @@ SCALED = (
 def test_conjugate_matches_the_tensor_square_formula(case):
     alpha, op = case
     out = alpha.conjugate(op)
-    want = dense_conjugate(alpha, op)
+    want = dense_conjugate(alpha.mat, op)
     assert out.rack_size == op.rack_size
     assert (out.mat.dim, out.mat.order) == (want.dim, want.order)
     for k in range(op.trunc):
         assert out.mat.coefficient_matrix(k) == want.coefficient_matrix(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(general_conjugation_cases())
+@example((SCALED[0].mat.add(PolyMat.from_rational(
+    SparseMat(2, 2, {(0, 0): Fraction(-2, 3), (1, 0): Fraction(5)}), 3)),
+    SCALED[1]))
+def test_conjugate_by_a_general_alpha_matches_the_formula(case):
+    alpha, op = case
+    assert _scales(alpha)[0] > 1
+    out = conjugate(op, alpha)
+    assert out.rack_size == op.rack_size
+    assert out.mat == dense_conjugate(alpha, op)
 
 
 def test_conjugate_rejects_a_rack_size_mismatch():

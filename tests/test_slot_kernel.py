@@ -11,6 +11,7 @@ part through SparseMat(rows, cols, entries), which makes that check.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,8 +23,8 @@ from test_polymat_properties import (dense_mats, fixed_dense,
 from test_yangbaxter import _dense_witness
 from ybrack.linalg import DimensionMismatch, SparseMat
 from ybrack.truncpoly import (PolyMat, TruncPoly, _apply_slots, _apply_word,
-                              _block, _compile_word, _from_blocks, _int_form,
-                              _scales)
+                              _block, _block_form, _compile_word, _from_blocks,
+                              _int_block, _int_form, _scales)
 from ybrack.yangbaxter import (BraidWord, YBOperator, _braid_word, braid_rep,
                                check_ybe, conjugate)
 
@@ -83,15 +84,17 @@ HADAMARD = [[1, 1], [1, -1]]
 @st.composite
 def words(draw):
     """(n, order, forms, word, block) on dim = n^4: form 0 acts on two
-    slots (n^2 x n^2), form 1 on one (n x n), each at base 1, n or n^2;
+    slots (n^2 x n^2), form 1 on one (n x n), each at base 1, n or n^2 on
+    the row index or at base dim, n dim or n^2 dim on the column index;
     the block holds random integers at random keys in every degree."""
     n = draw(st.integers(2, 3))
     order = draw(st.integers(1, 4))
     forms = [int_form(draw(int_mats(n * n, order))),
              int_form(draw(int_mats(n, order)))]
-    steps = st.tuples(st.integers(0, 1), st.sampled_from([1, n, n * n]))
-    word = draw(st.lists(steps, min_size=1, max_size=5))
     dim = n ** 4
+    weights = [1, n, n * n, dim, n * dim, n * n * dim]
+    steps = st.tuples(st.integers(0, 1), st.sampled_from(weights))
+    word = draw(st.lists(steps, min_size=1, max_size=5))
     keys = st.integers(0, dim * dim - 1)
     values = st.integers(-3, 3)
     block = [draw(st.dictionaries(keys, values, max_size=12))
@@ -117,6 +120,28 @@ def test_kernel_matches_the_per_letter_filter(case):
     got = _apply_word(letters, word, block)
     assert got == filtered_apply_word(letters, word, block)
     assert all(all(part.values()) for part in got)
+
+
+@PROPS
+@given(st.integers(1, 3).flatmap(lambda n: st.integers(1, 3).flatmap(
+    lambda order: st.tuples(dense_mats(n * n, order), dense_mats(n, order)))))
+@example((fixed_dense(4, 3), unipotent_dense(2, 3)))
+def test_column_letters_multiply_on_the_right(case):
+    """The letter of alpha^T at the column weights n^3 and n^2 of the
+    block of c is c (alpha x alpha)."""
+    c, alpha = map(to_polymat, case)
+    n, order = alpha.dim, alpha.order
+    dim = n * n
+    (d, big), (da, ba) = _scales(c), _scales(alpha)
+    big = lcm(big, ba)
+    word = [(0, n * dim), (0, dim)]
+    letters = _compile_word(
+        [_block_form(_int_block(alpha, da, big), n, transpose=True)],
+        word, order)
+    got = _apply_word(letters, word, _int_block(c, d, big))
+    dens = [d * da * da * big ** k for k in range(order)]
+    assert _from_blocks([got], dens, dim, order) \
+        == c.compose(alpha.tensor(alpha))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
