@@ -237,8 +237,9 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     a new denominator, D becomes lcm(D, den g) and both blocks are
     rescaled.  Each step is _conjugate_block on the operator's block,
     with the letters of (I + u^k G)^T and of its inverse, and alpha takes
-    the same (I + u^k G)^T on its columns.  The residual is_entropic
-    check runs on the integers of degree k.
+    the same (I + u^k G)^T on its columns, all five letters unipotent
+    and added in place.  The residual is_entropic check runs on the
+    integers of degree k.
     """
     n = rack.size
     order = op.trunc

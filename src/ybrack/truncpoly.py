@@ -14,15 +14,17 @@ _apply_slots: a matrix is rescaled once to integer coefficient matrices
 in u = h/D, and each letter of a word (a matrix at one slot weight) is
 compiled once into its products per input power of u and slot value.  A
 letter acts on one tensor slot or on two adjacent ones, and on a whole
-block of basis columns per call.  Sums that cancel stay in the block as
-zeros, skipped by the letters that follow, until _apply_word drops them
-at the end of the word.  _from_blocks checks each integer block as ints, keys in range and
-values nonzero, and writes it back as fractions without SparseMat's
-per-entry check.  It is the only matrix product: compose, power, inverse
-and scaled (by a 1 x 1 letter) use it on a single slot, tensor on two,
-and yangbaxter's check_ybe, braid_rep and conjugate on tensor powers;
-conjugate starts from the operator's own block and multiplies it on the
-right by letters on the column index.
+block of basis columns per call.  A unipotent letter I + N, its integer
+constant term exactly I, is compiled as N and added in place, X += N X.
+Sums that cancel stay in the block as zeros, skipped by the letters that
+follow, until _apply_word drops them at the end of the word.
+_from_blocks checks each integer block as ints, keys in range and values
+nonzero, and writes it back as fractions without SparseMat's per-entry
+check.  The kernel is the only matrix product:
+compose, power, inverse and scaled (by a 1 x 1 letter) use it on a
+single slot, tensor on two, and yangbaxter's check_ybe, braid_rep and
+conjugate on tensor powers; conjugate starts from the operator's own
+block and multiplies it on the right by letters on the column index.
 """
 
 from __future__ import annotations
@@ -157,24 +159,38 @@ class TruncPoly:
 
     @staticmethod
     def from_json(data, order: int | None = None) -> "TruncPoly":
-        """Inverse of to_json, padded to order.  A coefficient is a
-        string or a JSON number, a float read from its decimal text;
-        anything else, malformed input and a longer array, since cutting
-        it would change the value, raise ValueError."""
-        if not isinstance(data, list):
-            raise ValueError("coefficients must be a JSON array")
-        if order is not None and len(data) > order:
-            raise ValueError(f"{len(data)} coefficients exceed the "
-                             f"truncation order {order}")
-        bad = [c for c in data if type(c) not in (str, int, float)]
-        if bad:
-            raise ValueError(f"bad coefficient: {bad[0]!r}")
-        try:
-            coeffs = [Fraction(str(c) if type(c) is float else c)
-                      for c in data]
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad coefficient: {exc}") from exc
-        return TruncPoly.from_coeffs(coeffs, order)
+        """Inverse of to_json, padded to order: the coefficients of
+        _read_coeffs."""
+        return TruncPoly.from_coeffs(_read_coeffs(data, order, {}), order)
+
+
+def _read_coeffs(data, order: int | None, seen: dict) -> list[Fraction]:
+    """The coefficients of a JSON array.  A coefficient is a string or a
+    JSON number, a float read from its decimal text; anything else,
+    malformed input and an array longer than order, since cutting it
+    would change the value, raise ValueError.  seen maps each (type,
+    value) already read to its Fraction, so that a value repeated across
+    the arrays of one matrix is parsed once, and true is never read as
+    a 1 met before it."""
+    if not isinstance(data, list):
+        raise ValueError("coefficients must be a JSON array")
+    if order is not None and len(data) > order:
+        raise ValueError(f"{len(data)} coefficients exceed the "
+                         f"truncation order {order}")
+    bad = [c for c in data if type(c) not in (str, int, float)]
+    if bad:
+        raise ValueError(f"bad coefficient: {bad[0]!r}")
+    out = []
+    for c in data:
+        key = (type(c), c)
+        f = seen.get(key)
+        if f is None:
+            try:
+                f = seen[key] = Fraction(str(c) if type(c) is float else c)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"bad coefficient: {exc}") from exc
+        out.append(f)
+    return out
 
 
 class PolyMat:
@@ -338,7 +354,9 @@ class PolyMat:
 
     @staticmethod
     def from_json(data) -> "PolyMat":
-        """Inverse of to_json.  Malformed input raises ValueError."""
+        """Inverse of to_json.  Malformed input raises ValueError.  Each
+        distinct coefficient is parsed once per call (_read_coeffs), and
+        the parts are built without a TruncPoly per entry."""
         if not isinstance(data, dict) \
                 or not {"dim", "trunc", "entries"} <= data.keys():
             raise ValueError("matrix JSON must be an object with "
@@ -351,7 +369,10 @@ class PolyMat:
         check_order(dim, order)
         if not isinstance(entries, list):
             raise ValueError("matrix entries must be a JSON array")
-        triples = []
+        # later entries replace earlier ones and zero entries are
+        # dropped, as in from_entries
+        seen: dict = {}
+        polys: dict[tuple[int, int], list[Fraction]] = {}
         for i, item in enumerate(entries):
             if not (isinstance(item, list) and len(item) == 3
                     and all(type(x) is int and 0 <= x < dim
@@ -359,8 +380,17 @@ class PolyMat:
                 raise ValueError(f"matrix entry {i} is not [row, col, "
                                  f"coefficients] with 0 <= row, col < {dim}")
             r, c, coeffs = item
-            triples.append((r, c, TruncPoly.from_json(coeffs, order)))
-        return PolyMat.from_entries(dim, order, triples)
+            values = _read_coeffs(coeffs, order, seen)
+            if any(values):
+                polys[(r, c)] = values
+        parts: list[dict[tuple[int, int], Fraction]] = \
+            [{} for _ in range(order)]
+        for key, values in polys.items():
+            for part, a in zip(parts, values):
+                if a:
+                    part[key] = a
+        return PolyMat(dim, order,
+                       (SparseMat._unchecked(dim, dim, p) for p in parts))
 
 
 # slots charged for each power of h besides its dim^2 entries: an empty
@@ -409,21 +439,26 @@ def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]
 
 def _compile_word(forms, word, order: int) -> dict:
     """The letters of word: each distinct (form, base) step, compiled
-    once.  letter[k2][pair] lists the (k1 + k2, row * base, C_k1[row,
-    pair]) products of an input u^k2 coefficient at pair that stay below
-    the truncation order."""
-    return {(m, base): [[[(k1 + k2, row * base, c)
-                          for k1 in range(order - k2)
-                          for row, c in forms[m][k1][pair]]
-                         for pair in range(len(forms[m][0]))]
-                        for k2 in range(order)]
+    once into (unipotent, tables).  tables[k2][pair] lists the (k1 + k2,
+    row * base, C_k1[row, pair]) products of an input u^k2 coefficient
+    at pair that stay below the truncation order.  A form whose C_0 is
+    exactly I is unipotent: its tables leave out the k1 = 0 products,
+    which only copy the input, and it is applied in place."""
+    unipotent = [all(col == [(j, 1)] for j, col in enumerate(form[0]))
+                 for form in forms]
+    return {(m, base): (unipotent[m],
+                        [[[(k1 + k2, row * base, c)
+                           for k1 in range(unipotent[m], order - k2)
+                           for row, c in forms[m][k1][pair]]
+                          for pair in range(len(forms[m][0]))]
+                         for k2 in range(order)])
             for m, base in set(word)}
 
 
-def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Apply a compiled letter of width nn to the tensor slots whose
-    lowest has weight base: an operator acts on two adjacent slots
-    (nn = n^2), a map on V on one (nn = n).
+def _apply_slots(tables, base: int, vec, out=None) -> list[dict[int, int]]:
+    """Apply the compiled tables of a letter of width nn to the tensor
+    slots whose lowest has weight base: an operator acts on two adjacent
+    slots (nn = n^2), a map on V on one (nn = n).
 
     vec is a block of columns of a dim x dim matrix, held
     coefficient-major: vec[k] maps a key to its integer u^k coefficient,
@@ -435,12 +470,21 @@ def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int,
     X to L X.  At a base w * dim, nn * w dividing dim, the pair is a slot
     of the column index, the row inside lo, and the letter maps X to X
     L^T on that slot: X M is the letter of M^T there.
-    Sums that cancel stay stored as zeros, which add no products here
-    and which _apply_word drops once at the end of the word.
+
+    The products are added into out, or into a fresh block read from
+    degree 0 up.  A unipotent letter passes vec itself as out, read from
+    the highest degree down: each product of N lands in a higher degree,
+    a part already read, so X += N X needs no copy.  Sums that cancel
+    stay stored as zeros, which add no products here and which
+    _apply_word drops once at the end of the word.
     """
-    nn = len(letter[0])
-    out: list[dict[int, int]] = [{} for _ in vec]
-    for part, table in zip(vec, letter):
+    nn = len(tables[0])
+    steps = zip(vec, tables)
+    if out is None:
+        out = [{} for _ in vec]
+    else:
+        steps = reversed(list(steps))
+    for part, table in steps:
         for e, a in part.items():
             if not a:
                 continue
@@ -456,9 +500,15 @@ def _apply_slots(letter, base: int, vec: list[dict[int, int]]) -> list[dict[int,
 def _apply_word(letters, word, vec):
     """Apply the (form, base) steps of word to the block vec, the first
     step first, and drop the zeros of the result: its blocks store
-    nonzero entries only."""
+    nonzero entries only.  vec is never changed: it is copied once, if a
+    unipotent letter, applied in place, comes before any other letter."""
+    own = False
     for step in word:
-        vec = _apply_slots(letters[step], step[1], vec)
+        unipotent, tables = letters[step]
+        if unipotent and not own:
+            vec = [dict(part) for part in vec]
+        vec = _apply_slots(tables, step[1], vec, vec if unipotent else None)
+        own = True
     return [{e: a for e, a in part.items() if a} for part in vec]
 
 

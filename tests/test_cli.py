@@ -320,27 +320,57 @@ def _operator_json(**change):
     return {"matrix": mat}
 
 
-@pytest.mark.parametrize("data", [
-    _operator_json(entries=[[0, 9, ["1"]]]),
-    _operator_json(entries=[[-1, 0, ["1"]]]),
-    {"matrix": {"dim": 9, "trunc": 2}},
-    _operator_json(trunc=0),
-    [_operator_json()["matrix"]],
-    _operator_json(entries=[[0, 0, ["1", "0", "1"]]]),
-    _operator_json(entries=[[0, 0, ["1/0"]]]),
-    _operator_json(dim="9"),
-    _operator_json(entries={}),
-    _operator_json(entries=[[0, 0, "1"]]),
+@pytest.mark.parametrize(("data", "message"), [
+    (_operator_json(entries=[[0, 9, ["1"]]]), None),
+    (_operator_json(entries=[[-1, 0, ["1"]]]), None),
+    ({"matrix": {"dim": 9, "trunc": 2}}, None),
+    (_operator_json(trunc=0), None),
+    ([_operator_json()["matrix"]], None),
+    (_operator_json(entries=[[0, 0, ["1", "0", "1"]]]), None),
+    (_operator_json(entries=[[0, 0, ["1/0"]]]), None),
+    (_operator_json(dim="9"), None),
+    (_operator_json(entries={}), None),
+    (_operator_json(entries=[[0, 0, "1"]]), None),
+    # the reader parses each distinct (type, value) once per matrix:
+    # true equals 1 but is still refused after it, and a value that
+    # failed fails again
+    (_operator_json(entries=[[0, 0, [1]], [1, 1, [True]]]),
+     "bad coefficient: True"),
+    (_operator_json(entries=[[0, 0, ["1/0"]], [1, 1, ["1/0"]]]),
+     "bad coefficient: Fraction(1, 0)"),
+    (_operator_json(entries=[[0, 0, ["1/2"]], [1, 1, [0.5]], [0, 9, [1]]]),
+     "matrix entry 2 is not [row, col, coefficients] with "
+     "0 <= row, col < 9"),
 ], ids=["col-out-of-range", "negative-row", "no-entries", "trunc-0",
         "top-level-list", "coefficients-over-trunc", "zero-denominator",
-        "dim-a-string", "entries-an-object", "coefficients-a-string"])
-def test_malformed_operator_json_is_input_error(data, tmp_path, capsys):
+        "dim-a-string", "entries-an-object", "coefficients-a-string",
+        "true-after-one", "zero-denominator-twice",
+        "float-after-equal-string"])
+def test_malformed_operator_json_is_input_error(data, message, tmp_path,
+                                                capsys):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "normalize", "--rack", "dihedral:3",
                          "--input", str(path))
     assert code == 2 and out == ""
     assert "Traceback" not in err and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
+
+
+def test_equal_coefficients_of_other_types_read_the_same_value():
+    """0.5 after "1/2" and 1 after "1" and 1.0 are parsed apart, each to
+    the value its own text gives."""
+    from fractions import Fraction
+    from ybrack.truncpoly import PolyMat, TruncPoly
+    m = PolyMat.from_json({"dim": 3, "trunc": 2, "entries": [
+        [0, 0, ["1/2", 0.5]], [1, 1, [0.5, "1/2"]],
+        [2, 2, ["1", 1]], [0, 2, [1.0, 1]]]})
+    half = TruncPoly.from_coeffs([Fraction(1, 2)] * 2)
+    one = TruncPoly.from_coeffs([1, 1])
+    assert list(m.entries()) == [(0, 0, half), (0, 2, one), (1, 1, half),
+                                 (2, 2, one)]
+    assert all(type(a) is Fraction for part in m.parts
+               for a in part.entries.values())
 
 
 @pytest.mark.parametrize("lam", ["5", "[[1, 2, 3, 4, 5]]", '["1/0"]'],

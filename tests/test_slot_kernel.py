@@ -5,9 +5,14 @@ constructor.
 _apply_word drops the zeros of a block once, at the end of a word, and
 _apply_slots splits a key as pair = e // base % nn, rest = e - pair *
 base.  The oracle here is the kernel without either: every key split by
-divmod, the zeros dropped after every letter.  _from_blocks builds its parts without
-SparseMat's per-entry check, so every product below is rebuilt part by
-part through SparseMat(rows, cols, entries), which makes that check.
+divmod, the zeros dropped after every letter.  A unipotent letter, one
+whose constant term is the identity, is compiled without that term and
+applied in place as X += N X; the oracle applies it into a copy of its
+input, and a separate property compares it with the same letter, its
+identity kept, applied into a fresh block.  _from_blocks builds its
+parts without SparseMat's per-entry check, so every product below is
+rebuilt part by part through SparseMat(rows, cols, entries), which
+makes that check.
 """
 
 from fractions import Fraction
@@ -25,18 +30,20 @@ from ybrack.linalg import DimensionMismatch, SparseMat
 from ybrack.truncpoly import (PolyMat, TruncPoly, _apply_slots, _apply_word,
                               _block, _block_form, _compile_word, _from_blocks,
                               _int_block, _int_form, _scales)
-from ybrack.yangbaxter import (BraidWord, YBOperator, _braid_word, braid_rep,
-                               check_ybe, conjugate)
+from ybrack.yangbaxter import (BraidWord, YBOperator, YbeVerdict, _braid_word,
+                               braid_rep, check_ybe, conjugate)
 
 PROPS = settings(max_examples=40)
 
 
 def filtered_apply_slots(letter, base, vec):
     """One letter on a block, every key split by divmod, and the zeros of
-    the result dropped at once."""
-    nn = len(letter[0])
-    out = [{} for _ in vec]
-    for part, table in zip(vec, letter):
+    the result dropped at once; a unipotent letter adds its products to
+    a copy of vec."""
+    unipotent, tables = letter
+    nn = len(tables[0])
+    out = [dict(part) if unipotent else {} for part in vec]
+    for part, table in zip(vec, tables):
         for e, a in part.items():
             q, lo = divmod(e, base)
             pair = q % nn
@@ -53,11 +60,21 @@ def filtered_apply_word(letters, word, vec):
     return vec
 
 
+def apply_letter(letter, base, vec):
+    """One letter on a block by _apply_slots, its zeros kept, vec itself
+    unchanged: a unipotent letter acts in place on a copy."""
+    unipotent, tables = letter
+    if not unipotent:
+        return _apply_slots(tables, base, vec)
+    out = [dict(part) for part in vec]
+    return _apply_slots(tables, base, out, out)
+
+
 def cancels_mid_word(letters, word, vec):
     """Whether a letter before the last leaves a stored zero in the block
     that _apply_word carries on to the next letter."""
     for step in word[:-1]:
-        vec = _apply_slots(letters[step], step[1], vec)
+        vec = apply_letter(letters[step], step[1], vec)
         if any(0 in part.values() for part in vec):
             return True
     return False
@@ -120,6 +137,74 @@ def test_kernel_matches_the_per_letter_filter(case):
     got = _apply_word(letters, word, block)
     assert got == filtered_apply_word(letters, word, block)
     assert all(all(part.values()) for part in got)
+
+
+def unipotent_form(form, k):
+    """The form of I + sum_{j >= k} u^j C_j, for C_j the parts of form."""
+    ident = [[(j, 1)] for j in range(len(form[0]))]
+    return [ident] + [[[] for _ in ident] for _ in range(1, k)] + form[k:]
+
+
+def identity_kept(forms, word, order):
+    """The letters of word compiled with every k1 = 0 product, the
+    identity of a unipotent form included, each applied into a fresh
+    block: the layout of a letter that is not unipotent."""
+    return {(m, base): (False, [[[(k1 + k2, row * base, c)
+                                  for k1 in range(order - k2)
+                                  for row, c in forms[m][k1][pair]]
+                                 for pair in range(len(forms[m][0]))]
+                                for k2 in range(order)])
+            for m, base in set(word)}
+
+
+@st.composite
+def unipotent_words(draw):
+    """(case, k, both): a case of words(), a k in 1..order-1 (1 at order
+    1), and whether form 1 is made unipotent too, beside form 0."""
+    case = draw(words())
+    return case, draw(st.integers(1, max(1, case[1] - 1))), draw(st.booleans())
+
+
+@PROPS
+@given(unipotent_words())
+@example((hadamard_word(4), 2, True))
+@example((hadamard_word(4), 3, False))
+def test_unipotent_letters_in_place_match_the_identity_kept(case):
+    """I + u^k N in place, at row and column weights and at every k: for
+    k >= order / 2 the product of two such letters on different slots
+    loses its N (x) N term to the truncation."""
+    (n, order, forms, word, block), k, both = case
+    forms = [unipotent_form(forms[0], k),
+             unipotent_form(forms[-1], k) if both else forms[-1]]
+    letters = _compile_word(forms, word, order)
+    assert all(letters[(m, base)][0] for m, base in word if m == 0 or both)
+    before = [dict(part) for part in block]
+    got = _apply_word(letters, word, block)
+    assert block == before
+    assert got == filtered_apply_word(identity_kept(forms, word, order),
+                                      word, block)
+    assert all(all(part.values()) for part in got)
+
+
+def test_apply_word_leaves_its_input_when_the_first_letter_is_unipotent():
+    forms = [[[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 2)]]]]
+    word = [(0, 1), (0, 2)]
+    letters = _compile_word(forms, word, 2)
+    assert letters[(0, 1)][0]
+    block = _block(0, 4, 4, 2)
+    got = _apply_word(letters, word, block)
+    assert block == _block(0, 4, 4, 2)
+    assert got == filtered_apply_word(letters, word, block)
+    assert got[1]
+
+
+def test_check_ybe_holds_on_a_unipotent_one_by_one_operator():
+    """c = 1 + h + h^2 on the 1 x 1 rack: both braid words start from one
+    shared block of its one column, which the in-place letters of the
+    first word must not change."""
+    op = YBOperator(1, PolyMat.from_entries(
+        1, 3, [(0, 0, TruncPoly.from_coeffs([1, 1, 1]))]))
+    assert check_ybe(op) == YbeVerdict(True)
 
 
 @PROPS
