@@ -25,8 +25,8 @@ from .cohomology import (Cochain, EntropicBasis, entropic_basis,
 from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
 from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
-                        _compile_word, _from_blocks, _int_block, _rescaled,
-                        _scales, _unipotent_forms)
+                        _compile_word, _from_blocks, _int_blocks, _rescaled,
+                        _unipotent_blocks)
 from .yangbaxter import YBOperator, YbeVerdict, _conjugate_block, build_cq, \
     build_tau, check_ybe, conjugate, trace_power
 
@@ -230,12 +230,12 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     disturbed.  Returns (alpha, c') with c' = (alpha x alpha)^{-1} op
     (alpha x alpha) and c_Q^{-1} c' entropic in every h-degree.
 
-    The operator and alpha stay in one integer form, from one conversion
-    of the input to one write-back of each: blocks of all their columns
-    in u = h/D.  The degree-k term is the operator's block[k], integers
-    over D^k, and g is the preimage split finds over D^k.  When g brings
-    a new denominator, D becomes lcm(D, den g) and both blocks are
-    rescaled.  Each step is _conjugate_block on the operator's block,
+    The operator and alpha stay integer blocks of all their columns in
+    u = h/D, from one conversion of the input (_int_blocks) to one
+    write-back of each.  The degree-k term is the operator's block[k],
+    integers over D^k, and g is the preimage split finds over D^k.  When
+    g brings a new denominator, D becomes lcm(D, den g) and both blocks
+    are rescaled.  Each step is _conjugate_block on the operator's block,
     with the letters of (I + u^k G)^T and of its inverse, and alpha takes
     the same (I + u^k G)^T on its columns, all five letters unipotent
     and added in place.  The residual is_entropic check runs on the
@@ -265,8 +265,7 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     # op = sum_k u^k block[k] and alpha = sum_k u^k acc[k], u = h/big:
     # d0 = 1 throughout, as the constant term of op is a permutation and
     # each step's alpha and alpha^-1 are I mod h
-    big = _scales(op.mat)[1]
-    block = _int_block(op.mat, 1, big)
+    (block,), _, big = _int_blocks([op.mat])
     acc = _block(0, n, n, order)
     for k in range(1, order):
         result = split(term(block[k]).to_vector())
@@ -280,12 +279,12 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
         new = lcm(big, *(v.denominator for v in g.values()))
         block, acc = _rescaled(block, new // big), _rescaled(acc, new // big)
         big = new
-        fwd, inv = _unipotent_forms(
+        fwd, inv = _unipotent_blocks(
             {e: v.numerator * (big ** k // v.denominator)
              for e, v in g.items()}, k, n, order)
         block = _conjugate_block(block, fwd, inv, n)
-        acc = _apply_word(_compile_word([fwd], [(0, n)], order), [(0, n)],
-                          acc)
+        acc = _apply_word(_compile_word([(fwd, n)], [(0, n)], order),
+                          [(0, n)], acc)
         if not is_entropic(rack, term(block[k])):
             raise DecompositionError(
                 f"degree-{k} residual failed to become entropic")

@@ -7,20 +7,22 @@ plain rational arithmetic.  A truncated polynomial is invertible iff its
 constant coefficient is nonzero; its inverse is that of the 1 x 1 PolyMat.
 
 PolyMat stores a matrix over Q[h]/(h^N) coefficient-major, as one
-rational SparseMat per power of h.  This module is the only one that
-knows that layout; other modules read coefficient matrices or per-entry
-views.  Products and inverses run on one integer slot kernel,
-_apply_slots: a matrix is rescaled once to integer coefficient matrices
-in u = h/D, and each letter of a word (a matrix at one slot weight) is
-compiled once into its products per input power of u and slot value.  A
-letter acts on one tensor slot or on two adjacent ones, and on a whole
-block of basis columns per call.  A unipotent letter I + N, its integer
-constant term exactly I, is compiled as N and added in place, X += N X.
-Sums that cancel stay in the block as zeros, skipped by the letters that
-follow, until _apply_word drops them at the end of the word.
-_from_blocks checks each integer block as ints, keys in range and values
-nonzero, and writes it back as fractions without SparseMat's per-entry
-check.  The kernel is the only matrix product:
+rational SparseMat per power of h.  Products and inverses run on one
+integer slot kernel, _apply_slots, in one integer format, the block: a
+list of dicts, one per power of u = h/D, with entry (r, c) of a dim x dim
+matrix at key c * dim + r.  _int_blocks converts a list of PolyMats to
+blocks of all their columns in one shared u, and _from_blocks writes
+blocks back as fractions; yangbaxter and deformations hold integer
+blocks too, for conjugation and normalization.  Each letter of a word
+(a block at one slot weight) is compiled once into its products per
+input power of u and slot value.  A letter acts on one tensor slot or on
+two adjacent ones, and on a whole block of basis columns per call.  A
+unipotent letter I + N, its integer constant term exactly I, is compiled
+as N and added in place, X += N X.  Sums that cancel stay in the block
+as zeros, skipped by the letters that follow, until _apply_word drops
+them at the end of the word.  _from_blocks checks each integer block as
+ints, keys in range and values nonzero, and writes it back without
+SparseMat's per-entry check.  The kernel is the only matrix product:
 compose, power, inverse and scaled (by a 1 x 1 letter) use it on a
 single slot, tensor on two, and yangbaxter's check_ybe, braid_rep and
 conjugate on tensor powers; conjugate starts from the operator's own
@@ -311,23 +313,24 @@ class PolyMat:
         """M^{-1} = sum_{i<N} (-K)^i M0^{-1} with K = M0^{-1} (M - M0) = 0
         mod h, on the integer slot kernel: on one block of all dim basis
         columns, x_0 = M0^{-1} e and x_i = -M0^{-1} (M - M0) x_{i-1}, by
-        the letters s M0^{-1} (s the lcm of its denominators) and -(M - M0)
-        in u = h/D.  x_i is s^(i+1) times its value and starts at degree i,
-        so acc <- s acc + x_i ends within N terms and is written back once,
-        over s^m D^k in degree k after m terms.  A unipotent M skips the
-        M0^{-1} letter; a singular M0 raises ZeroDivisionError."""
+        the letters -(M - M0) and s M0^{-1}, both converted by one
+        _int_blocks in u = h/D, s the lcm of the denominators of M0^{-1}.
+        x_i is s^(i+1) times its value and starts at degree i, so acc <- s
+        acc + x_i ends within N terms and is written back once, over s^m
+        D^k in degree k after m terms.  A unipotent M skips the M0^{-1}
+        letter; a singular M0 raises ZeroDivisionError."""
         dim, order = self.dim, self.order
         tail = PolyMat(dim, order, (SparseMat(dim, dim),) + self.parts[1:])
-        _, big = _scales(tail)
-        minus = [[[(r, -c) for r, c in col] for col in part]
-                 for part in _int_form(tail, 1, big)]
-        forms, word, s = [minus], [(0, 1)], 1
+        mats, word = [tail], [(0, 1)]
         if self.parts[0] != SparseMat.identity(dim):
-            inv0 = PolyMat.from_rational(invert_rational(self.parts[0]), order)
-            s = _scales(inv0)[0]
-            forms.append(_int_form(inv0, s, 1))
+            mats.append(PolyMat.from_rational(invert_rational(self.parts[0]),
+                                              order))
             word.append((1, 1))
-        letters = _compile_word(forms, word, order)
+        blocks, d0s, big = _int_blocks(mats)
+        # the d0 of tail, which has no constant term, is 1
+        s = d0s[-1]
+        blocks[0] = [{e: -a for e, a in part.items()} for part in blocks[0]]
+        letters = _compile_word([(b, dim) for b in blocks], word, order)
         acc, terms = _series(letters, word, s, _apply_word(
             letters, word[1:], _block(0, dim, dim, order)))
         dens = [s ** terms * big ** k for k in range(order)]
@@ -410,49 +413,62 @@ def check_order(dim: int, order: int) -> None:
             f"entry limit {DEFAULT_ENTRY_LIMIT}")
 
 
-def _scales(mat: PolyMat) -> tuple[int, int]:
-    """(d0, D) for the integer form of mat: d0 is the lcm of the
-    denominators of the constant term, D that of the denominators of the
-    higher h-coefficients of d0 * mat."""
-    d0 = 1
-    for a in mat.constant.entries.values():
-        d0 = lcm(d0, a.denominator)
-    big = 1
-    for k in range(1, mat.order):
-        for a in mat.coefficient_matrix(k).entries.values():
-            big = lcm(big, a.denominator // gcd(a.denominator, d0))
-    return d0, big
+def _int_blocks(mats) -> tuple[list, list[int], int]:
+    """(blocks, d0s, D): every mat of the list as one block of all its
+    columns, in one u = h/D shared by all, block[k] = d0 * D^k * c_k for
+    c_k the h^k coefficient, so that mat = (1/d0) sum_k u^k block[k].
+    d0 is the lcm of the denominators of the constant term, and D that of
+    the denominators of d0 * c_k, k >= 1, over all mats; both are taken
+    over the set of distinct denominators of each part."""
+    d0s, big = [], 1
+    for mat in mats:
+        dens = [{a.denominator for a in p.entries.values()} for p in mat.parts]
+        d0 = lcm(*dens[0])
+        d0s.append(d0)
+        big = lcm(big, *(den // gcd(den, d0) for part in dens[1:]
+                         for den in part))
+    blocks = []
+    for mat, d0 in zip(mats, d0s):
+        dim, block = mat.dim, []
+        for k, part in enumerate(mat.parts):
+            scale = d0 * big ** k
+            block.append({c * dim + r: a.numerator * (scale // a.denominator)
+                          for (r, c), a in part.entries.items()})
+        blocks.append(block)
+    return blocks, d0s, big
 
 
-def _int_form(mat: PolyMat, d0: int, big: int) -> list[list[list[tuple[int, int]]]]:
-    """Coefficient-major integer matrices C_k = d0 * big^k * c_k, with c_k
-    the h^k coefficient of mat, so that mat = (1/d0) sum_k u^k C_k for
-    u = h/big.  form[k][col] lists the (row, C_k[row, col]) nonzeros;
-    big must be a multiple of the D of _scales."""
-    form = [[[] for _ in range(mat.dim)] for _ in range(mat.order)]
-    for k, cols in enumerate(form):
-        scale = d0 * big ** k
-        for (r, c), a in mat.coefficient_matrix(k).entries.items():
-            cols[c].append((r, a.numerator * (scale // a.denominator)))
-    return form
+def _transposed(block, n: int) -> list[dict[int, int]]:
+    """The block of the transpose of an n x n block."""
+    return [{e % n * n + e // n: a for e, a in part.items()} for part in block]
 
 
-def _compile_word(forms, word, order: int) -> dict:
-    """The letters of word: each distinct (form, base) step, compiled
-    once into (unipotent, tables).  tables[k2][pair] lists the (k1 + k2,
-    row * base, C_k1[row, pair]) products of an input u^k2 coefficient
-    at pair that stay below the truncation order.  A form whose C_0 is
-    exactly I is unipotent: its tables leave out the k1 = 0 products,
-    which only copy the input, and it is applied in place."""
-    unipotent = [all(col == [(j, 1)] for j, col in enumerate(form[0]))
-                 for form in forms]
-    return {(m, base): (unipotent[m],
-                        [[[(k1 + k2, row * base, c)
-                           for k1 in range(unipotent[m], order - k2)
-                           for row, c in forms[m][k1][pair]]
-                          for pair in range(len(forms[m][0]))]
-                         for k2 in range(order)])
-            for m, base in set(word)}
+def _compile_word(mats, word, order: int) -> dict:
+    """The letters of word: each distinct (letter, base) step, compiled
+    once into (unipotent, tables).  Letter m is mats[m] = (block, width),
+    the integer matrices C_k of one block of all width columns, grouped
+    by column once.  tables[k2][pair] lists the (k1 + k2, row * base,
+    C_k1[row, pair]) products of an input u^k2 coefficient at pair that
+    stay below the truncation order.  A letter whose C_0 is exactly I is
+    unipotent: its tables leave out the k1 = 0 products, which only copy
+    the input, and it is applied in place."""
+    letters = {}
+    for m in {m for m, _ in word}:
+        block, width = mats[m]
+        cols = [[[] for _ in range(width)] for _ in block]
+        for part, by_col in zip(block, cols):
+            for e, a in part.items():
+                c, r = divmod(e, width)
+                by_col[c].append((r, a))
+        unipotent = all(col == [(j, 1)] for j, col in enumerate(cols[0]))
+        for base in {b for l, b in word if l == m}:
+            letters[(m, base)] = (unipotent, [
+                [[(k1 + k2, row * base, c)
+                  for k1 in range(unipotent, order - k2)
+                  for row, c in cols[k1][pair]]
+                 for pair in range(width)]
+                for k2 in range(order)])
+    return letters
 
 
 def _apply_slots(tables, base: int, vec, out=None) -> list[dict[int, int]]:
@@ -498,7 +514,7 @@ def _apply_slots(tables, base: int, vec, out=None) -> list[dict[int, int]]:
 
 
 def _apply_word(letters, word, vec):
-    """Apply the (form, base) steps of word to the block vec, the first
+    """Apply the (letter, base) steps of word to the block vec, the first
     step first, and drop the zeros of the result: its blocks store
     nonzero entries only.  vec is never changed: it is copied once, if a
     unipotent letter, applied in place, comes before any other letter."""
@@ -516,30 +532,6 @@ def _block(start: int, stop: int, dim: int, order: int) -> list[dict[int, int]]:
     """The basis columns start..stop-1 of a dim x dim matrix as a block."""
     return [{j * dim + j: 1 for j in range(start, stop)}] \
         + [{} for _ in range(order - 1)]
-
-
-def _int_block(mat: PolyMat, d0: int, big: int) -> list[dict[int, int]]:
-    """All columns of mat as one block of the integer matrices of
-    _int_form: mat = (1/d0) sum_k u^k block[k] for u = h/big."""
-    block, dim = [], mat.dim
-    for k, part in enumerate(mat.parts):
-        scale = d0 * big ** k
-        block.append({c * dim + r: a.numerator * (scale // a.denominator)
-                      for (r, c), a in part.entries.items()})
-    return block
-
-
-def _block_form(block, n: int, transpose: bool = False):
-    """The letter form (as of _int_form) of an n x n block, or of its
-    transpose."""
-    form = [[[] for _ in range(n)] for _ in block]
-    for cols, part in zip(form, block):
-        for e, a in part.items():
-            c, r = divmod(e, n)
-            if transpose:
-                r, c = c, r
-            cols[c].append((r, a))
-    return form
 
 
 def _rescaled(block, ratio: int) -> list[dict[int, int]]:
@@ -565,31 +557,31 @@ def _series(letters, word, s: int, x):
     return [{e: a for e, a in part.items() if a} for part in acc], terms
 
 
-def _unipotent_forms(g: dict[int, int], k: int, n: int, order: int):
-    """(fwd, inv): the letter forms of (I + u^k G)^T and of its inverse,
-    the series of -u^k G, for an n x n integer matrix G held as one part
-    of a block, G[r, c] at key c * n + r, and k >= 1."""
+def _unipotent_blocks(g: dict[int, int], k: int, n: int, order: int):
+    """(fwd, inv): the blocks of (I + u^k G)^T and of its inverse, the
+    series of -u^k G, for an n x n integer matrix G held as one part of a
+    block, G[r, c] at key c * n + r, and k >= 1."""
     step = _block(0, n, n, order)
     step[k] = g
     minus = [{} for _ in range(order)]
     minus[k] = {e: -a for e, a in g.items()}
     word = [(0, 1)]
-    inv, _ = _series(_compile_word([_block_form(minus, n)], word, order),
-                     word, 1, _block(0, n, n, order))
-    return _block_form(step, n, transpose=True), _block_form(inv, n)
+    inv, _ = _series(_compile_word([(minus, n)], word, order), word, 1,
+                     _block(0, n, n, order))
+    return _transposed(step, n), inv
 
 
 def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
-    """Matrix of a word of (form, base) steps on mats, built on blocks of
-    basis columns as wide as the widest of mats, each block written back
-    as fractions before the next one is formed.  All forms share one
-    u = h/D, so that their products stay in u, and the integer result is
-    d times the rational one, d the product of the d0 of the letters."""
-    scales = [_scales(m) for m in mats]
-    big = lcm(*(b for _, b in scales))
-    forms = [_int_form(m, d0, big) for m, (d0, _) in zip(mats, scales)]
-    letters = _compile_word(forms, word, order)
-    d = prod(scales[m][0] for m, _ in word)
+    """Matrix of a word of (letter, base) steps on mats, built on blocks
+    of basis columns as wide as the widest of mats, each block written
+    back as fractions before the next one is formed.  _int_blocks puts
+    all letters in one u = h/D, so that their products stay in u, and the
+    integer result is d times the rational one, d the product of the d0
+    of the letters."""
+    blocks, d0s, big = _int_blocks(mats)
+    letters = _compile_word([(b, m.dim) for b, m in zip(blocks, mats)],
+                            word, order)
+    d = prod(d0s[m] for m, _ in word)
     width = max(1, *(m.dim for m in mats))
     return _from_blocks((_apply_word(letters, word,
                                      _block(start, start + width, dim, order))

@@ -10,25 +10,25 @@ right translations are bijections makes it a permutation of the basis,
 and self-distributivity makes it a Yang-Baxter operator.
 
 check_ybe, braid_rep and conjugate run on the integer slot kernel of
-truncpoly (which also serves PolyMat.compose): it applies a map in
-integer, coefficient-major form to adjacent tensor slots of a block of
-basis columns at a time, so no product of dense tensor powers is ever
-formed.  conjugate starts from the operator's own integer block instead
-of basis columns, and never compiles the operator into a letter.
+truncpoly (which also serves PolyMat.compose): it applies a map held as
+an integer block, one dict per power of u = h/D, to adjacent tensor
+slots of a block of basis columns at a time, so no product of dense
+tensor powers is ever formed.  conjugate starts from the operator's own
+integer block instead of basis columns, and never compiles the operator
+into a letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, DimensionMismatch,
                      SizeOverflow, SparseMat, power_exceeds)
 from .racks import Rack
-from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block, _block_form,
-                        _compile_word, _from_blocks, _int_block, _int_form,
-                        _scales, _word_matrix)
+from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
+                        _compile_word, _from_blocks, _int_blocks, _transposed,
+                        _word_matrix)
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,9 @@ def build_jones(q, trunc: int = 1) -> YBOperator:
 
 
 def _braid_word(n: int, strands: int, letters) -> list[tuple[int, int]]:
-    """A braid word on the strands-fold tensor power as (form, base)
-    steps in the order they act, the last letter first: form 0 is c,
-    form 1 its inverse, and base the weight of the lower of the slots."""
+    """A braid word on the strands-fold tensor power as (letter, base)
+    steps in the order they act, the last letter first: letter 0 is c,
+    letter 1 its inverse, and base the weight of the lower of the slots."""
     return [(int(letter < 0), n ** (strands - 1 - abs(letter)))
             for letter in reversed(letters)]
 
@@ -146,7 +146,7 @@ def check_ybe(op: YBOperator) -> YbeVerdict:
     Both triple products are formed on blocks of n basis columns, the
     triples (x, y, 0..n-1), never as dense n^3 x n^3 arrays, as the braid
     words sigma1 sigma2 sigma1 and sigma2 sigma1 sigma2 on the integer
-    form of the operator, each letter compiled once.  The check stops at
+    block of the operator, each letter compiled once.  The check stops at
     the first block where the sides differ, and the verdict carries the
     first differing basis triple in lexicographic order: the column of
     the least differing key.  Each side is d0^3 times its rational value
@@ -157,8 +157,8 @@ def check_ybe(op: YBOperator) -> YbeVerdict:
     dim = n ** 3
     lhs_word = _braid_word(n, 3, (1, 2, 1))
     rhs_word = _braid_word(n, 3, (2, 1, 2))
-    letters = _compile_word([_int_form(op.mat, *_scales(op.mat))],
-                            lhs_word + rhs_word, order)
+    (c,), _, _ = _int_blocks([op.mat])
+    letters = _compile_word([(c, n * n)], lhs_word + rhs_word, order)
     for start in range(0, dim, max(n, 1)):
         block = _block(start, start + n, dim, order)
         lhs = _apply_word(letters, lhs_word, block)
@@ -200,8 +200,8 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
     (alpha x alpha)^{-1} c (alpha x alpha): only the n x n alpha is
     inverted, and no tensor square is formed.
 
-    c, alpha and alpha^{-1} are each converted once to integer form in
-    one u = h/D, the lcm of their D, and c is the block that
+    c, alpha and alpha^{-1} are converted once, by one _int_blocks, to
+    integer blocks in one u = h/D, and c is the block that
     _conjugate_block starts from; the result is written back once, over
     d = d0(c) d0(alpha)^2 d0(alpha^{-1})^2 times D^k in degree k.
     """
@@ -210,12 +210,9 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
         raise DimensionMismatch(
             f"operator on ({op.rack_size}^2, trunc {op.trunc}) does not "
             f"match alpha ({n}, trunc {alpha.order})")
-    inv = alpha.inverse()
-    (d, big), (da, ba), (di, bi) = map(_scales, (op.mat, alpha, inv))
-    big = lcm(big, ba, bi)
-    block = _conjugate_block(_int_block(op.mat, d, big),
-                             _block_form(_int_block(alpha, da, big), n, True),
-                             _int_form(inv, di, big), n)
+    (c, fwd, inv), (d, da, di), big = _int_blocks(
+        [op.mat, alpha, alpha.inverse()])
+    block = _conjugate_block(c, _transposed(fwd, n), inv, n)
     d *= (da * di) ** 2
     return YBOperator(n, _from_blocks(
         [block], [d * big ** k for k in range(op.trunc)], n * n, op.trunc))
@@ -223,19 +220,19 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
 
 def _conjugate_block(block, fwd, inv, n: int) -> list[dict[int, int]]:
     """(alpha^{-1} x alpha^{-1}) c (alpha x alpha) on the integer block
-    of all n^2 columns of c, in letters: fwd the form of alpha^T and inv
+    of all n^2 columns of c, in letters: fwd the block of alpha^T and inv
     that of alpha^{-1}, both n x n and in the u = h/D of the block.
 
     A word of four letters on one block that starts from c, never from
     basis columns: alpha^T on the column slots, at weights n^3 and n^2,
     which multiply c by alpha x alpha on the right, then alpha^{-1} on
     the row slots, at weights n and 1.  The result is d0(alpha)^2
-    d0(alpha^{-1})^2 times the integer form of the conjugate.
+    d0(alpha^{-1})^2 times the integer block of the conjugate.
     """
     dim = n * n
     word = [(0, n * dim), (0, dim), (1, n), (1, 1)]
-    return _apply_word(_compile_word([fwd, inv], word, len(block)), word,
-                       block)
+    return _apply_word(_compile_word([(fwd, n), (inv, n)], word, len(block)),
+                       word, block)
 
 
 def trace_power(op: YBOperator, k: int) -> TruncPoly:

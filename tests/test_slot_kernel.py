@@ -28,8 +28,8 @@ from test_polymat_properties import (dense_mats, fixed_dense,
 from test_yangbaxter import _dense_witness
 from ybrack.linalg import DimensionMismatch, SparseMat
 from ybrack.truncpoly import (PolyMat, TruncPoly, _apply_slots, _apply_word,
-                              _block, _block_form, _compile_word, _from_blocks,
-                              _int_block, _int_form, _scales)
+                              _block, _compile_word, _from_blocks, _int_blocks,
+                              _transposed)
 from ybrack.yangbaxter import (BraidWord, YBOperator, YbeVerdict, _braid_word,
                                braid_rep, check_ybe, conjugate)
 
@@ -80,10 +80,11 @@ def cancels_mid_word(letters, word, vec):
     return False
 
 
-def int_form(dense):
-    """form[k][col] of the integer matrices dense[k][row][col]."""
-    return [[[(r, rows[r][c]) for r in range(len(rows)) if rows[r][c]]
-             for c in range(len(rows))] for rows in dense]
+def int_block(dense):
+    """The block of the integer matrices dense[k][row][col]: entry (r, c)
+    of degree k at key c * dim + r, column by column."""
+    return [{c * len(rows) + r: rows[r][c] for c in range(len(rows))
+             for r in range(len(rows)) if rows[r][c]} for rows in dense]
 
 
 def int_mats(dim, order):
@@ -100,14 +101,15 @@ HADAMARD = [[1, 1], [1, -1]]
 
 @st.composite
 def words(draw):
-    """(n, order, forms, word, block) on dim = n^4: form 0 acts on two
-    slots (n^2 x n^2), form 1 on one (n x n), each at base 1, n or n^2 on
-    the row index or at base dim, n dim or n^2 dim on the column index;
-    the block holds random integers at random keys in every degree."""
+    """(n, order, mats, word, block) on dim = n^4: letter 0, a (block,
+    width) pair as _compile_word takes it, acts on two slots (n^2 x n^2),
+    letter 1 on one (n x n), each at base 1, n or n^2 on the row index or
+    at base dim, n dim or n^2 dim on the column index; the block holds
+    random integers at random keys in every degree."""
     n = draw(st.integers(2, 3))
     order = draw(st.integers(1, 4))
-    forms = [int_form(draw(int_mats(n * n, order))),
-             int_form(draw(int_mats(n, order)))]
+    mats = [(int_block(draw(int_mats(n * n, order))), n * n),
+            (int_block(draw(int_mats(n, order))), n)]
     dim = n ** 4
     weights = [1, n, n * n, dim, n * dim, n * n * dim]
     steps = st.tuples(st.integers(0, 1), st.sampled_from(weights))
@@ -116,51 +118,82 @@ def words(draw):
     values = st.integers(-3, 3)
     block = [draw(st.dictionaries(keys, values, max_size=12))
              for _ in range(order)]
-    return n, order, forms, word, block
+    return n, order, mats, word, block
 
 
 def hadamard_word(order):
     """H in degree 0 on one slot of width 2 at bases 1, 2 and 4, three
     times each, on all columns of dim = 16: cancels mid-word."""
-    forms = [int_form([HADAMARD] + [[[0, 0], [0, 0]]] * (order - 1))]
+    mats = [(int_block([HADAMARD] + [[[0, 0], [0, 0]]] * (order - 1)), 2)]
     word = [(0, 1)] * 3 + [(0, 2)] * 3 + [(0, 4)] * 3
-    return 2, order, forms, word, _block(0, 16, 16, order)
+    return 2, order, mats, word, _block(0, 16, 16, order)
+
+
+def near_identity_word(kind, order=3):
+    """A letter of width 4 and one of width 2 whose C_0 is near I but not
+    I, so neither is unipotent: 2 I, I plus one off-diagonal entry, or a
+    cyclic permutation; C_1 is all ones.  They act at row and column
+    weights on all columns of dim = 16."""
+    def letter(w):
+        near = {"double": lambda r, c: 2 * (r == c),
+                "shear": lambda r, c: int(r == c or (r, c) == (0, w - 1)),
+                "cycle": lambda r, c: int(c == (r + 1) % w)}[kind]
+        mats = [[[near(r, c) for c in range(w)] for r in range(w)],
+                [[1] * w for _ in range(w)]] + [[[0] * w] * w] * (order - 2)
+        return int_block(mats), w
+    word = [(0, 1), (1, 16), (0, 4), (1, 2), (0, 16), (1, 1)]
+    return 2, order, [letter(4), letter(2)], word, _block(0, 16, 16, order)
 
 
 @PROPS
 @given(words())
 @example(hadamard_word(1))
 @example(hadamard_word(3))
+@example(near_identity_word("double"))
+@example(near_identity_word("shear"))
+@example(near_identity_word("cycle"))
 def test_kernel_matches_the_per_letter_filter(case):
-    n, order, forms, word, block = case
-    letters = _compile_word(forms, word, order)
+    n, order, mats, word, block = case
+    letters = _compile_word(mats, word, order)
+    # unipotent exactly when the constant term is I
+    for (m, _), (unipotent, _) in letters.items():
+        block0, width = mats[m][0][0], mats[m][1]
+        assert unipotent == (block0 == {j * (width + 1): 1
+                                        for j in range(width)})
     got = _apply_word(letters, word, block)
     assert got == filtered_apply_word(letters, word, block)
     assert all(all(part.values()) for part in got)
 
 
-def unipotent_form(form, k):
-    """The form of I + sum_{j >= k} u^j C_j, for C_j the parts of form."""
-    ident = [[(j, 1)] for j in range(len(form[0]))]
-    return [ident] + [[[] for _ in ident] for _ in range(1, k)] + form[k:]
+def unipotent_letter(letter, k):
+    """The letter of I + sum_{j >= k} u^j C_j, for C_j the parts of the
+    block of letter."""
+    block, width = letter
+    ident = {j * (width + 1): 1 for j in range(width)}
+    return [ident] + [{} for _ in range(1, k)] + block[k:], width
 
 
-def identity_kept(forms, word, order):
+def identity_kept(mats, word, order):
     """The letters of word compiled with every k1 = 0 product, the
-    identity of a unipotent form included, each applied into a fresh
+    identity of a unipotent letter included, each applied into a fresh
     block: the layout of a letter that is not unipotent."""
-    return {(m, base): (False, [[[(k1 + k2, row * base, c)
-                                  for k1 in range(order - k2)
-                                  for row, c in forms[m][k1][pair]]
-                                 for pair in range(len(forms[m][0]))]
-                                for k2 in range(order)])
-            for m, base in set(word)}
+    letters = {}
+    for m, base in set(word):
+        block, width = mats[m]
+        tables = [[[] for _ in range(width)] for _ in range(order)]
+        for k2 in range(order):
+            for k1 in range(order - k2):
+                for e, c in block[k1].items():
+                    pair, row = divmod(e, width)
+                    tables[k2][pair].append((k1 + k2, row * base, c))
+        letters[(m, base)] = (False, tables)
+    return letters
 
 
 @st.composite
 def unipotent_words(draw):
     """(case, k, both): a case of words(), a k in 1..order-1 (1 at order
-    1), and whether form 1 is made unipotent too, beside form 0."""
+    1), and whether letter 1 is made unipotent too, beside letter 0."""
     case = draw(words())
     return case, draw(st.integers(1, max(1, case[1] - 1))), draw(st.booleans())
 
@@ -173,23 +206,24 @@ def test_unipotent_letters_in_place_match_the_identity_kept(case):
     """I + u^k N in place, at row and column weights and at every k: for
     k >= order / 2 the product of two such letters on different slots
     loses its N (x) N term to the truncation."""
-    (n, order, forms, word, block), k, both = case
-    forms = [unipotent_form(forms[0], k),
-             unipotent_form(forms[-1], k) if both else forms[-1]]
-    letters = _compile_word(forms, word, order)
+    (n, order, mats, word, block), k, both = case
+    mats = [unipotent_letter(mats[0], k),
+            unipotent_letter(mats[-1], k) if both else mats[-1]]
+    letters = _compile_word(mats, word, order)
     assert all(letters[(m, base)][0] for m, base in word if m == 0 or both)
     before = [dict(part) for part in block]
     got = _apply_word(letters, word, block)
     assert block == before
-    assert got == filtered_apply_word(identity_kept(forms, word, order),
+    assert got == filtered_apply_word(identity_kept(mats, word, order),
                                       word, block)
     assert all(all(part.values()) for part in got)
 
 
 def test_apply_word_leaves_its_input_when_the_first_letter_is_unipotent():
-    forms = [[[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 2)]]]]
+    # I + u [[0, 2], [1, 0]] on two slots of width 2
+    mats = [([{0: 1, 3: 1}, {1: 1, 2: 2}], 2)]
     word = [(0, 1), (0, 2)]
-    letters = _compile_word(forms, word, 2)
+    letters = _compile_word(mats, word, 2)
     assert letters[(0, 1)][0]
     block = _block(0, 4, 4, 2)
     got = _apply_word(letters, word, block)
@@ -217,13 +251,10 @@ def test_column_letters_multiply_on_the_right(case):
     c, alpha = map(to_polymat, case)
     n, order = alpha.dim, alpha.order
     dim = n * n
-    (d, big), (da, ba) = _scales(c), _scales(alpha)
-    big = lcm(big, ba)
+    (cb, ab), (d, da), big = _int_blocks([c, alpha])
     word = [(0, n * dim), (0, dim)]
-    letters = _compile_word(
-        [_block_form(_int_block(alpha, da, big), n, transpose=True)],
-        word, order)
-    got = _apply_word(letters, word, _int_block(c, d, big))
+    letters = _compile_word([(_transposed(ab, n), n)], word, order)
+    got = _apply_word(letters, word, cb)
     dens = [d * da * da * big ** k for k in range(order)]
     assert _from_blocks([got], dens, dim, order) \
         == c.compose(alpha.tensor(alpha))
@@ -231,8 +262,8 @@ def test_column_letters_multiply_on_the_right(case):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_hadamard_word_cancels_mid_word(order):
-    _, _, forms, word, block = hadamard_word(order)
-    letters = _compile_word(forms, word, order)
+    _, _, mats, word, block = hadamard_word(order)
+    letters = _compile_word(mats, word, order)
     assert cancels_mid_word(letters, word, block)
     # H^3 = 2 H on three slots: every entry is in degree 0
     got = _apply_word(letters, word, block)
@@ -271,10 +302,10 @@ def signed_operators(draw):
 def ybe_cancels_mid_word(op):
     """Whether a block of check_ybe meets a stored zero before the last
     letter of either braid word."""
-    form = _int_form(op.mat, *_scales(op.mat))
+    (block,), _, _ = _int_blocks([op.mat])
     lhs = _braid_word(2, 3, (1, 2, 1))
     rhs = _braid_word(2, 3, (2, 1, 2))
-    letters = _compile_word([form], lhs + rhs, op.trunc)
+    letters = _compile_word([(block, 4)], lhs + rhs, op.trunc)
     return any(cancels_mid_word(letters, word, _block(s, s + 2, 8, op.trunc))
                for word in (lhs, rhs) for s in range(0, 8, 2))
 
@@ -380,3 +411,41 @@ def test_from_blocks_rejects_a_key_out_of_range():
     # the last key in range is written back
     m = _from_blocks([[{8: 2}]], [3], 3, 1)
     assert m.parts[0].entries == {(2, 2): Fraction(2, 3)}
+
+
+# -- _int_blocks: one u = h/D for a list of matrices -------------------------
+
+def own_scales(m: PolyMat) -> tuple[int, int]:
+    """(d0, D) of m alone, from its fractions: d0 clears the constant
+    term, D the h-coefficients of d0 * m."""
+    d0 = lcm(*(a.denominator for a in m.constant.entries.values()))
+    return d0, lcm(*((d0 * a).denominator for p in m.parts[1:]
+                     for a in p.entries.values()))
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda order: st.lists(
+    st.integers(1, 3).flatmap(lambda dim: dense_mats(dim, order)),
+    min_size=1, max_size=3)))
+@example([fixed_dense(3, 3), unipotent_dense(2, 3)])
+def test_int_blocks_share_one_u_and_write_back(dense):
+    mats = [to_polymat(rows) for rows in dense]
+    blocks, d0s, big = _int_blocks(mats)
+    assert len(blocks) == len(d0s) == len(mats)
+    assert big == lcm(*(own_scales(m)[1] for m in mats))
+    for m, block, d0 in zip(mats, blocks, d0s):
+        assert d0 == own_scales(m)[0]
+        assert len(block) == m.order
+        assert all(type(a) is int for part in block for a in part.values())
+        dens = [d0 * big ** k for k in range(m.order)]
+        assert _from_blocks([block], dens, m.dim, m.order) == m
+
+
+def test_int_blocks_take_d_one_when_d0_clears_the_h_terms():
+    """1/6 + h/3 + 5h^2/2 at (0, 0) and 1 at (1, 1): d0 = 6 clears every
+    higher denominator, so u = h."""
+    m = PolyMat.from_entries(2, 3, [
+        (0, 0, TruncPoly.from_coeffs([Fraction(1, 6), Fraction(1, 3),
+                                      Fraction(5, 2)])),
+        (1, 1, 1)])
+    assert _int_blocks([m]) == ([[{0: 1, 3: 6}, {0: 2}, {0: 15}]], [6], 1)
