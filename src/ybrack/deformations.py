@@ -25,7 +25,7 @@ from .cohomology import (Cochain, EntropicBasis, entropic_basis,
 from .linalg import SparseMat
 from .racks import Rack, square_reflection_quandle
 from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
-                        _compile_word, _from_blocks, _int_blocks, _rescaled,
+                        _compile_word, _int_blocks, _scaled_parts,
                         _unipotent_blocks)
 from .yangbaxter import YBOperator, YbeVerdict, _conjugate_block, build_cq, \
     build_tau, check_ybe, conjugate, trace_power
@@ -231,11 +231,11 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
     (alpha x alpha) and c_Q^{-1} c' entropic in every h-degree.
 
     The operator and alpha stay integer blocks of all their columns in
-    u = h/D, from one conversion of the input (_int_blocks) to one
-    write-back of each.  The degree-k term is the operator's block[k],
-    integers over D^k, and g is the preimage split finds over D^k.  When
-    g brings a new denominator, D becomes lcm(D, den g) and both blocks
-    are rescaled.  Each step is _conjugate_block on the operator's block,
+    u = h/D, from the input's own block put in u (_int_blocks) to the
+    PolyMat of each, over D^k in degree k.  The degree-k term is the
+    operator's block[k], integers over D^k, and g is the preimage split
+    finds over D^k.  When g brings a new denominator, D becomes lcm(D,
+    den g) and both blocks are rescaled.  Each step is _conjugate_block on the operator's block,
     with the letters of (I + u^k G)^T and of its inverse, and alpha takes
     the same (I + u^k G)^T on its columns, all five letters unipotent
     and added in place.  The residual is_entropic check runs on the
@@ -277,7 +277,8 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
         if not g:
             continue
         new = lcm(big, *(v.denominator for v in g.values()))
-        block, acc = _rescaled(block, new // big), _rescaled(acc, new // big)
+        ratios = [(new // big) ** j for j in range(order)]
+        block, acc = _scaled_parts(block, ratios), _scaled_parts(acc, ratios)
         big = new
         fwd, inv = _unipotent_blocks(
             {e: v.numerator * (big ** k // v.denominator)
@@ -289,5 +290,5 @@ def normalize_to_entropic(op: YBOperator, rack: Rack,
             raise DecompositionError(
                 f"degree-{k} residual failed to become entropic")
     dens = [big ** k for k in range(order)]
-    return (Equivalence(_from_blocks([acc], dens, n, order)),
-            YBOperator(n, _from_blocks([block], dens, dim, order)))
+    return (Equivalence(PolyMat(n, order, acc, dens)),
+            YBOperator(n, PolyMat(dim, order, block, dens)))

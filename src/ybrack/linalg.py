@@ -80,16 +80,6 @@ class SparseMat:
                 raise ValueError("stored zero entry")
 
     @staticmethod
-    def _unchecked(rows: int, cols: int, entries) -> "SparseMat":
-        """A rows x cols SparseMat of entries its caller has already
-        checked in range and nonzero, built without that check."""
-        mat = object.__new__(SparseMat)
-        object.__setattr__(mat, "rows", rows)
-        object.__setattr__(mat, "cols", cols)
-        object.__setattr__(mat, "entries", entries)
-        return mat
-
-    @staticmethod
     def from_dense(dense) -> "SparseMat":
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
@@ -487,14 +477,3 @@ def solver(height: int, columns: list[Vec]):
         return {top - i: Fraction(-a, scale) for i, a in r.items() if a}
     return solve
 
-
-def invert_rational(m: SparseMat) -> SparseMat:
-    """Exact inverse of a rational square matrix, one column per e_i."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices can be inverted")
-    solve = solver(m.rows, m.col_vectors())
-    cols = [solve({i: ONE}) for i in range(m.rows)]
-    if any(x is None for x in cols):
-        raise ZeroDivisionError("matrix is singular")
-    return SparseMat(m.rows, m.cols, {(r, c): v for c, x in enumerate(cols)
-                                      for r, v in x.items()})

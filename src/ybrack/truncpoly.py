@@ -6,27 +6,29 @@ All arithmetic discards terms of degree >= N; order 1 degenerates to
 plain rational arithmetic.  A truncated polynomial is invertible iff its
 constant coefficient is nonzero; its inverse is that of the 1 x 1 PolyMat.
 
-PolyMat stores a matrix over Q[h]/(h^N) coefficient-major, as one
-rational SparseMat per power of h.  Products and inverses run on one
-integer slot kernel, _apply_slots, in one integer format, the block: a
-list of dicts, one per power of u = h/D, with entry (r, c) of a dim x dim
-matrix at key c * dim + r.  _int_blocks converts a list of PolyMats to
-blocks of all their columns in one shared u, and _from_blocks writes
-blocks back as fractions; yangbaxter and deformations hold integer
-blocks too, for conjugation and normalization.  Each letter of a word
-(a block at one slot weight) is compiled once into its products per
-input power of u and slot value.  A letter acts on one tensor slot or on
-two adjacent ones, and on a whole block of basis columns per call.  A
-unipotent letter I + N, its integer constant term exactly I, is compiled
-as N and added in place, X += N X.  Sums that cancel stay in the block
-as zeros, skipped by the letters that follow, until _apply_word drops
-them at the end of the word.  _from_blocks checks each integer block as
-ints, keys in range and values nonzero, and writes it back without
-SparseMat's per-entry check.  The kernel is the only matrix product:
-compose, power, inverse and scaled (by a 1 x 1 letter) use it on a
-single slot, tensor on two, and yangbaxter's check_ybe, braid_rep and
-conjugate on tensor powers; conjugate starts from the operator's own
-block and multiplies it on the right by letters on the column index.
+PolyMat holds a matrix over Q[h]/(h^N) as an integer block, its only
+state: a dict per power of h, with entry (r, c) of a dim x dim matrix at
+key c * dim + r, and one denominator per power, each degree reduced so
+that equal matrices hold equal states.  Products and inverses run on one
+integer slot kernel, _apply_slots, on blocks in one u = h/D: _int_blocks
+takes them from the states of a list of PolyMats, rescaling a degree
+only where its factor is not 1, and the kernel's output block is the
+state of the result, checked and reduced by the constructor, with no
+Fraction made.  Fractions are made only where a caller reads a
+coefficient: get, entries, coefficient_matrix, trace and to_json.
+yangbaxter and deformations hold integer blocks too, for conjugation and
+normalization.  Each letter of a word (a block at one slot weight) is
+compiled once into its products per input power of u and slot value.  A
+letter acts on one tensor slot or on two adjacent ones, and on a whole
+block of basis columns per call.  A unipotent letter I + N, its integer
+constant term exactly I, is compiled as N and added in place, X += N X.
+Sums that cancel stay in the block as zeros, skipped by the letters that
+follow, until _apply_word drops them at the end of the word.  The kernel
+is the only matrix product: compose, power, inverse and scaled (by a 1 x
+1 letter) use it on a single slot, tensor on two, and yangbaxter's
+check_ybe, braid_rep and conjugate on tensor powers; conjugate starts
+from the operator's own block and multiplies it on the right by letters
+on the column index.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .linalg import (DEFAULT_ENTRY_LIMIT, DimensionMismatch, SizeOverflow,
-                     SparseMat, invert_rational)
+                     SparseMat, solver)
 
 ZERO = Fraction(0)
 
@@ -196,74 +198,112 @@ def _read_coeffs(data, order: int | None, seen: dict) -> list[Fraction]:
 
 
 class PolyMat:
-    """Square sparse matrix over TruncPoly, stored coefficient-major:
-    parts[k] is the rational matrix of the h^k coefficients."""
+    """Square sparse matrix over TruncPoly, held as an integer block:
+    block[k] maps c * dim + r to an int, and the h^k coefficient at (r, c)
+    is block[k][c * dim + r] / dens[k].  Each degree is reduced, gcd(dens[k],
+    *block[k].values()) = 1, so the state is canonical and == compares it."""
 
-    def __init__(self, dim: int, order: int, parts=None):
+    def __init__(self, dim: int, order: int, block=None, dens=None):
+        """The matrix of block and dens, zero when block is None.  Each
+        degree is checked, its keys in 0..dim*dim-1 and its values nonzero,
+        and reduced; a dict that needs no reduction is kept, not copied."""
         self.dim = dim
         self.order = order
-        self.parts: tuple[SparseMat, ...] = tuple(parts) if parts is not None \
-            else (SparseMat(dim, dim),) * order
+        if block is None:
+            block, dens = [{} for _ in range(order)], [1] * order
+        parts, reduced = [], []
+        for part, den in zip(block, dens):
+            if part and (min(part) < 0 or max(part) >= dim * dim):
+                raise DimensionMismatch(f"block key out of range for a "
+                                        f"{dim} x {dim} matrix")
+            if not all(part.values()):
+                raise ValueError("stored zero entry")
+            # an empty part reduces its den to 1
+            g = gcd(den, *part.values())
+            parts.append(part if g == 1 else
+                         {e: a // g for e, a in part.items()})
+            reduced.append(den // g)
+        self.block: tuple[dict[int, int], ...] = tuple(parts)
+        self.dens: tuple[int, ...] = tuple(reduced)
+
+    @staticmethod
+    def _from_fractions(dim: int, order: int, parts) -> "PolyMat":
+        """parts[k] maps c * dim + r to the nonzero h^k coefficient at (r,
+        c), a Fraction or an int; each degree goes over the lcm of its
+        distinct denominators."""
+        block, dens = [], []
+        for part in parts:
+            den = lcm(*{a.denominator for a in part.values()})
+            block.append({e: a.numerator * (den // a.denominator)
+                          for e, a in part.items()})
+            dens.append(den)
+        return PolyMat(dim, order, block, dens)
 
     @staticmethod
     def identity(dim: int, order: int) -> "PolyMat":
-        return PolyMat.from_rational(SparseMat.identity(dim), order)
+        return PolyMat(dim, order, _block(0, dim, dim, order), [1] * order)
 
     @staticmethod
     def from_entries(dim: int, order: int, entries) -> "PolyMat":
         """entries: iterable of (row, col, TruncPoly or scalar); a later
         entry at the same position replaces an earlier one."""
-        polys: dict[tuple[int, int], TruncPoly] = {}
+        polys: dict[int, TruncPoly] = {}
         for r, c, v in entries:
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise DimensionMismatch(f"entry ({r},{c}) out of bounds")
             if not isinstance(v, TruncPoly):
                 v = TruncPoly.const(v, order)
             elif v.order != order:
                 raise ValueError("mixed truncation orders in matrix")
             if not v.is_zero():
-                polys[(r, c)] = v
-        parts: list[dict[tuple[int, int], Fraction]] = \
-            [{} for _ in range(order)]
-        for key, v in polys.items():
-            for k, a in enumerate(v.coeffs):
-                if a:
-                    parts[k][key] = a
-        return PolyMat(dim, order, (SparseMat(dim, dim, p) for p in parts))
+                polys[c * dim + r] = v
+        return PolyMat._from_fractions(dim, order, (
+            {e: v.coeffs[k] for e, v in polys.items() if v.coeffs[k]}
+            for k in range(order)))
 
     @staticmethod
     def from_rational(mat: SparseMat, order: int, h_degree: int = 0) -> "PolyMat":
         """Embed a rational matrix as coefficient of h^h_degree."""
         if mat.rows != mat.cols:
             raise DimensionMismatch("PolyMat is square")
-        empty = SparseMat(mat.rows, mat.cols)
-        return PolyMat(mat.rows, order,
-                       (mat if k == h_degree else empty for k in range(order)))
+        dim = mat.rows
+        part = {c * dim + r: a for (r, c), a in mat.entries.items()}
+        return PolyMat._from_fractions(dim, order, (
+            part if k == h_degree else {} for k in range(order)))
 
     def get(self, r: int, c: int) -> TruncPoly:
-        return TruncPoly(self.order, tuple(p.get(r, c) for p in self.parts))
+        # a position outside the matrix reads zero: no key is -1
+        dim = self.dim
+        e = c * dim + r if 0 <= r < dim and 0 <= c < dim else -1
+        return TruncPoly(self.order, tuple(
+            Fraction(part.get(e, 0), den)
+            for part, den in zip(self.block, self.dens)))
 
     def entries(self):
         """(row, col, TruncPoly) for each nonzero entry, row-major."""
-        coeffs: dict[tuple[int, int], list[Fraction]] = {}
-        for k, part in enumerate(self.parts):
-            for key, v in part.entries.items():
-                coeffs.setdefault(key, [ZERO] * self.order)[k] = v
-        for r, c in sorted(coeffs):
-            yield r, c, TruncPoly(self.order, tuple(coeffs[(r, c)]))
+        dim = self.dim
+        for r, c in sorted((e % dim, e // dim)
+                           for e in set().union(*self.block)):
+            yield r, c, self.get(r, c)
 
     def lift(self, order: int) -> "PolyMat":
         """Reinterpret at a different truncation order (pad or cut)."""
-        empty = SparseMat(self.dim, self.dim)
-        return PolyMat(self.dim, order,
-                       (self.parts + (empty,) * order)[:order])
+        return PolyMat(self.dim, order, (self.block + ({},) * order)[:order],
+                       (self.dens + (1,) * order)[:order])
 
     def coefficient_matrix(self, k: int) -> SparseMat:
         """Rational matrix of the h^k coefficients."""
-        return self.parts[k] if k < self.order \
-            else SparseMat(self.dim, self.dim)
+        dim = self.dim
+        if k >= self.order:
+            return SparseMat(dim, dim)
+        den = self.dens[k]
+        return SparseMat(dim, dim, {
+            (e % dim, e // dim): Fraction(a, den)
+            for e, a in self.block[k].items()})
 
     @property
     def constant(self) -> SparseMat:
-        return self.parts[0]
+        return self.coefficient_matrix(0)
 
     def compose(self, other: "PolyMat") -> "PolyMat":
         """self after other (matrix product self @ other), on the integer
@@ -275,10 +315,20 @@ class PolyMat:
                             self.dim, self.order)
 
     def add(self, other: "PolyMat") -> "PolyMat":
+        """Degree by degree, both over the lcm of their denominators."""
         if self.dim != other.dim or self.order != other.order:
             raise DimensionMismatch("add shape/order mismatch")
-        return PolyMat(self.dim, self.order,
-                       (a.add(b) for a, b in zip(self.parts, other.parts)))
+        block, dens = [], []
+        for a, da, b, db in zip(self.block, self.dens, other.block,
+                                other.dens):
+            den = lcm(da, db)
+            part = {e: v * (den // da) for e, v in a.items()}
+            fb = den // db
+            for e, v in b.items():
+                part[e] = part.get(e, 0) + v * fb
+            block.append({e: v for e, v in part.items() if v})
+            dens.append(den)
+        return PolyMat(self.dim, self.order, block, dens)
 
     def sub(self, other: "PolyMat") -> "PolyMat":
         return self.add(other.scaled(-1))
@@ -299,9 +349,11 @@ class PolyMat:
                             self.dim * other.dim, self.order)
 
     def trace(self) -> TruncPoly:
+        # the diagonal keys j * dim + j are the multiples of dim + 1
+        step = self.dim + 1
         return TruncPoly(self.order, tuple(
-            sum((v for (r, c), v in p.entries.items() if r == c), ZERO)
-            for p in self.parts))
+            Fraction(sum(a for e, a in part.items() if not e % step), den)
+            for part, den in zip(self.block, self.dens)))
 
     def power(self, k: int) -> "PolyMat":
         """The word of |k| letters self, or self.inverse() when k < 0; the
@@ -313,39 +365,51 @@ class PolyMat:
         """M^{-1} = sum_{i<N} (-K)^i M0^{-1} with K = M0^{-1} (M - M0) = 0
         mod h, on the integer slot kernel: on one block of all dim basis
         columns, x_0 = M0^{-1} e and x_i = -M0^{-1} (M - M0) x_{i-1}, by
-        the letters -(M - M0) and s M0^{-1}, both converted by one
-        _int_blocks in u = h/D, s the lcm of the denominators of M0^{-1}.
-        x_i is s^(i+1) times its value and starts at degree i, so acc <- s
-        acc + x_i ends within N terms and is written back once, over s^m
-        D^k in degree k after m terms.  A unipotent M skips the M0^{-1}
-        letter; a singular M0 raises ZeroDivisionError."""
+        the letters -(M - M0), in u = h/D for D the lcm of dens[1:], and
+        s M0^{-1}, s the lcm of the denominators of M0^{-1}, solved from
+        the integer columns of block[0].  x_i is s^(i+1) times its value
+        and starts at degree i, so acc <- s acc + x_i ends within N terms,
+        over s^m D^k in degree k after m terms.  A unipotent M skips the
+        M0^{-1} letter; a singular M0 raises ZeroDivisionError."""
         dim, order = self.dim, self.order
-        tail = PolyMat(dim, order, (SparseMat(dim, dim),) + self.parts[1:])
-        mats, word = [tail], [(0, 1)]
-        if self.parts[0] != SparseMat.identity(dim):
-            mats.append(PolyMat.from_rational(invert_rational(self.parts[0]),
-                                              order))
+        big = lcm(*self.dens[1:])
+        tail = [{}] + [{e: -a * (big ** k // den) for e, a in part.items()}
+                       for k, part, den in zip(range(1, order), self.block[1:],
+                                               self.dens[1:])]
+        mats, word, s = [(tail, dim)], [(0, 1)], 1
+        ident = _block(0, dim, dim, order)
+        if (self.block[0], self.dens[0]) != (ident[0], 1):
+            cols: list[dict[int, int]] = [{} for _ in range(dim)]
+            for e, a in self.block[0].items():
+                cols[e // dim][e % dim] = a
+            solve = solver(dim, cols)
+            xs = [solve({i: 1}) for i in range(dim)]
+            if any(x is None for x in xs):
+                raise ZeroDivisionError("matrix is singular")
+            # M0 = block[0] / dens[0], so M0^{-1} is dens[0] times the
+            # inverse of the integer matrix
+            inv0 = PolyMat._from_fractions(dim, 1, [{
+                c * dim + r: self.dens[0] * v
+                for c, x in enumerate(xs) for r, v in x.items()}])
+            s = inv0.dens[0]
+            mats.append((list(inv0.block) + [{}] * (order - 1), dim))
             word.append((1, 1))
-        blocks, d0s, big = _int_blocks(mats)
-        # the d0 of tail, which has no constant term, is 1
-        s = d0s[-1]
-        blocks[0] = [{e: -a for e, a in part.items()} for part in blocks[0]]
-        letters = _compile_word([(b, dim) for b in blocks], word, order)
-        acc, terms = _series(letters, word, s, _apply_word(
-            letters, word[1:], _block(0, dim, dim, order)))
-        dens = [s ** terms * big ** k for k in range(order)]
-        return _from_blocks([acc], dens, dim, order)
+        letters = _compile_word(mats, word, order)
+        acc, terms = _series(letters, word, s,
+                             _apply_word(letters, word[1:], ident))
+        return PolyMat(dim, order, acc,
+                       [s ** terms * big ** k for k in range(order)])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
-        return (self.dim, self.order, self.parts) \
-            == (other.dim, other.order, other.parts)
+        return (self.dim, self.order, self.dens, self.block) \
+            == (other.dim, other.order, other.dens, other.block)
 
     @property
     def nnz(self) -> int:
         """Number of positions with a nonzero entry."""
-        return len(set().union(*(p.entries for p in self.parts)))
+        return len(set().union(*self.block))
 
     def __repr__(self):
         return f"PolyMat(dim={self.dim}, order={self.order}, nnz={self.nnz})"
@@ -359,7 +423,7 @@ class PolyMat:
     def from_json(data) -> "PolyMat":
         """Inverse of to_json.  Malformed input raises ValueError.  Each
         distinct coefficient is parsed once per call (_read_coeffs), and
-        the parts are built without a TruncPoly per entry."""
+        the block is built without a TruncPoly per entry."""
         if not isinstance(data, dict) \
                 or not {"dim", "trunc", "entries"} <= data.keys():
             raise ValueError("matrix JSON must be an object with "
@@ -375,7 +439,7 @@ class PolyMat:
         # later entries replace earlier ones and zero entries are
         # dropped, as in from_entries
         seen: dict = {}
-        polys: dict[tuple[int, int], list[Fraction]] = {}
+        polys: dict[int, list[Fraction]] = {}
         for i, item in enumerate(entries):
             if not (isinstance(item, list) and len(item) == 3
                     and all(type(x) is int and 0 <= x < dim
@@ -385,19 +449,15 @@ class PolyMat:
             r, c, coeffs = item
             values = _read_coeffs(coeffs, order, seen)
             if any(values):
-                polys[(r, c)] = values
-        parts: list[dict[tuple[int, int], Fraction]] = \
-            [{} for _ in range(order)]
-        for key, values in polys.items():
-            for part, a in zip(parts, values):
-                if a:
-                    part[key] = a
-        return PolyMat(dim, order,
-                       (SparseMat._unchecked(dim, dim, p) for p in parts))
+                polys[c * dim + r] = values
+        return PolyMat._from_fractions(dim, order, (
+            {e: v[k] for e, v in polys.items() if k < len(v) and v[k]}
+            for k in range(order)))
 
 
 # slots charged for each power of h besides its dim^2 entries: an empty
-# part costs about 170 bytes, a stored small entry about 115 (tracemalloc,
+# degree (its dict and its denominator) costs about 80 bytes, a stored
+# entry (an int key and a small int value) about 70 (tracemalloc,
 # CPython 3.11)
 ORDER_SLOTS = 2
 
@@ -417,25 +477,16 @@ def _int_blocks(mats) -> tuple[list, list[int], int]:
     """(blocks, d0s, D): every mat of the list as one block of all its
     columns, in one u = h/D shared by all, block[k] = d0 * D^k * c_k for
     c_k the h^k coefficient, so that mat = (1/d0) sum_k u^k block[k].
-    d0 is the lcm of the denominators of the constant term, and D that of
-    the denominators of d0 * c_k, k >= 1, over all mats; both are taken
-    over the set of distinct denominators of each part."""
-    d0s, big = [], 1
-    for mat in mats:
-        dens = [{a.denominator for a in p.entries.values()} for p in mat.parts]
-        d0 = lcm(*dens[0])
-        d0s.append(d0)
-        big = lcm(big, *(den // gcd(den, d0) for part in dens[1:]
-                         for den in part))
-    blocks = []
-    for mat, d0 in zip(mats, d0s):
-        dim, block = mat.dim, []
-        for k, part in enumerate(mat.parts):
-            scale = d0 * big ** k
-            block.append({c * dim + r: a.numerator * (scale // a.denominator)
-                          for (r, c), a in part.entries.items()})
-        blocks.append(block)
-    return blocks, d0s, big
+    d0 = dens[0], the lcm of the denominators of the constant term, and D
+    is that of the denominators of d0 * c_k, dens[k] / gcd(dens[k], d0),
+    k >= 1, over all mats.  Degree k is the mat's own dict where its
+    factor d0 * D^k / dens[k] is 1."""
+    d0s = [mat.dens[0] for mat in mats]
+    big = lcm(*(den // gcd(den, d0) for mat, d0 in zip(mats, d0s)
+                for den in mat.dens[1:]))
+    return [_scaled_parts(mat.block, [d0 * big ** k // den for k, den
+                                      in enumerate(mat.dens)])
+            for mat, d0 in zip(mats, d0s)], d0s, big
 
 
 def _transposed(block, n: int) -> list[dict[int, int]]:
@@ -534,12 +585,11 @@ def _block(start: int, stop: int, dim: int, order: int) -> list[dict[int, int]]:
         + [{} for _ in range(order - 1)]
 
 
-def _rescaled(block, ratio: int) -> list[dict[int, int]]:
-    """The block in u' = u / ratio: degree k times ratio^k."""
-    if ratio == 1:
-        return block
-    return [{e: a * ratio ** k for e, a in part.items()}
-            for k, part in enumerate(block)]
+def _scaled_parts(block, factors) -> list[dict[int, int]]:
+    """Degree k of the block times factors[k]; a part whose factor is 1 is
+    passed on as it is."""
+    return [part if f == 1 else {e: a * f for e, a in part.items()}
+            for part, f in zip(block, factors)]
 
 
 def _series(letters, word, s: int, x):
@@ -573,46 +623,19 @@ def _unipotent_blocks(g: dict[int, int], k: int, n: int, order: int):
 
 def _word_matrix(mats, word, dim: int, order: int) -> PolyMat:
     """Matrix of a word of (letter, base) steps on mats, built on blocks
-    of basis columns as wide as the widest of mats, each block written
-    back as fractions before the next one is formed.  _int_blocks puts
-    all letters in one u = h/D, so that their products stay in u, and the
-    integer result is d times the rational one, d the product of the d0
-    of the letters."""
+    of basis columns as wide as the widest of mats and merged into one
+    block: the blocks hold disjoint columns.  _int_blocks puts all letters
+    in one u = h/D, so that their products stay in u, and the integer
+    result is d times the rational one, d the product of the d0 of the
+    letters, over d * D^k in degree k."""
     blocks, d0s, big = _int_blocks(mats)
     letters = _compile_word([(b, m.dim) for b, m in zip(blocks, mats)],
                             word, order)
     d = prod(d0s[m] for m, _ in word)
     width = max(1, *(m.dim for m in mats))
-    return _from_blocks((_apply_word(letters, word,
-                                     _block(start, start + width, dim, order))
-                         for start in range(0, dim, width)),
-                        [d * big ** k for k in range(order)], dim, order)
-
-
-def _from_blocks(blocks, dens, dim: int, order: int) -> PolyMat:
-    """The dim x dim PolyMat of integer blocks of columns, degree k of
-    each block over dens[k], each block written back as fractions before
-    the next one is drawn.  Each block is checked as ints, its keys in
-    0..dim*dim-1 and its values nonzero, and the parts are built from
-    these checked entries without SparseMat's per-entry check."""
-    # entries repeat across columns: build each Fraction once per degree
-    fracs: list[dict[int, Fraction]] = [{} for _ in range(order)]
-    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(order)]
-    size = dim * dim
-    for vec in blocks:
-        for part, den, dst, cache in zip(vec, dens, parts, fracs):
-            if not part:
-                continue
-            if min(part) < 0 or max(part) >= size:
-                raise DimensionMismatch(f"block key out of range for a "
-                                        f"{dim} x {dim} matrix")
-            if not all(part.values()):
-                raise ValueError("stored zero entry")
-            for key, a in part.items():
-                f = cache.get(a)
-                if f is None:
-                    f = cache[a] = Fraction(a, den)
-                j, i = divmod(key, dim)
-                dst[(i, j)] = f
-    return PolyMat(dim, order,
-                   (SparseMat._unchecked(dim, dim, p) for p in parts))
+    out = _apply_word(letters, word, _block(0, min(width, dim), dim, order))
+    for start in range(width, dim, width):
+        for dst, part in zip(out, _apply_word(
+                letters, word, _block(start, start + width, dim, order))):
+            dst.update(part)
+    return PolyMat(dim, order, out, [d * big ** k for k in range(order)])

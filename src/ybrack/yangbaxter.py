@@ -27,8 +27,7 @@ from .linalg import (DEFAULT_ENTRY_LIMIT, ONE, DimensionMismatch,
                      SizeOverflow, SparseMat, power_exceeds)
 from .racks import Rack
 from .truncpoly import (PolyMat, TruncPoly, _apply_word, _block,
-                        _compile_word, _from_blocks, _int_blocks, _transposed,
-                        _word_matrix)
+                        _compile_word, _int_blocks, _transposed, _word_matrix)
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,10 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
     (alpha x alpha)^{-1} c (alpha x alpha): only the n x n alpha is
     inverted, and no tensor square is formed.
 
-    c, alpha and alpha^{-1} are converted once, by one _int_blocks, to
-    integer blocks in one u = h/D, and c is the block that
-    _conjugate_block starts from; the result is written back once, over
-    d = d0(c) d0(alpha)^2 d0(alpha^{-1})^2 times D^k in degree k.
+    c, alpha and alpha^{-1} are put in one u = h/D by one _int_blocks,
+    and c is the block that _conjugate_block starts from; the result is
+    the PolyMat of its output block, over d = d0(c) d0(alpha)^2
+    d0(alpha^{-1})^2 times D^k in degree k.
     """
     n = alpha.dim
     if op.rack_size != n or op.trunc != alpha.order:
@@ -214,8 +213,8 @@ def conjugate(op: YBOperator, alpha: PolyMat) -> YBOperator:
         [op.mat, alpha, alpha.inverse()])
     block = _conjugate_block(c, _transposed(fwd, n), inv, n)
     d *= (da * di) ** 2
-    return YBOperator(n, _from_blocks(
-        [block], [d * big ** k for k in range(op.trunc)], n * n, op.trunc))
+    return YBOperator(n, PolyMat(n * n, op.trunc, block,
+                                 [d * big ** k for k in range(op.trunc)]))
 
 
 def _conjugate_block(block, fwd, inv, n: int) -> list[dict[int, int]]:

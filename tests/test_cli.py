@@ -369,8 +369,8 @@ def test_equal_coefficients_of_other_types_read_the_same_value():
     one = TruncPoly.from_coeffs([1, 1])
     assert list(m.entries()) == [(0, 0, half), (0, 2, one), (1, 1, half),
                                  (2, 2, one)]
-    assert all(type(a) is Fraction for part in m.parts
-               for a in part.entries.values())
+    assert all(type(a) is Fraction for k in range(m.order)
+               for a in m.coefficient_matrix(k).entries.values())
 
 
 @pytest.mark.parametrize("lam", ["5", "[[1, 2, 3, 4, 5]]", '["1/0"]'],

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_cohomology_properties import fractions, racks
+from test_polymat_properties import from_parts
 from ybrack.cohomology import entropic_basis
 from ybrack.deformations import (Equivalence, normalize_to_entropic,
                                  poly_mat_is_entropic)
@@ -75,7 +76,7 @@ def poly_mats(draw, dim, trunc, constant):
             continue
         m = draw(st.dictionaries(cells, wide_fractions, max_size=dim * dim))
         parts.append(SparseMat(dim, dim, {c: v for c, v in m.items() if v}))
-    return PolyMat(dim, trunc, parts)
+    return from_parts(dim, trunc, parts)
 
 
 @st.composite
@@ -120,10 +121,10 @@ def dense_conjugate(alpha, op):
 
 # denominators in d0(c), in D(c) and in D(alpha), on every power of h
 SCALED = (
-    Equivalence(PolyMat(2, 3, [
+    Equivalence(from_parts(2, 3, [
         SparseMat.identity(2), SparseMat(2, 2, {(0, 1): Fraction(1, 5)}),
         SparseMat(2, 2, {(1, 0): Fraction(-7, 9), (1, 1): Fraction(2)})])),
-    YBOperator(2, PolyMat(4, 3, [
+    YBOperator(2, from_parts(4, 3, [
         SparseMat(4, 4, {(0, 0): Fraction(1, 2), (3, 1): Fraction(-2, 3),
                          (1, 3): Fraction(5, 7), (2, 2): Fraction(1)}),
         SparseMat(4, 4, {(1, 2): Fraction(3, 11)}),

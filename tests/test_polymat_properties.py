@@ -8,11 +8,12 @@ the rational convolution and the order-by-order recurrence they replaced.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ybrack.linalg import SparseMat, invert_rational
+from ybrack.linalg import SparseMat
 from ybrack.truncpoly import PolyMat, TruncPoly
 
 PROPS = settings(max_examples=40)
@@ -51,6 +52,36 @@ def invertible_dense(draw, dim, order):
 
 
 sizes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+def from_parts(dim, order, parts):
+    """The PolyMat whose h^k coefficient is the rational matrix parts[k],
+    built by from_entries."""
+    coeffs = {}
+    for k, part in enumerate(parts):
+        for key, v in part.entries.items():
+            coeffs.setdefault(key, [0] * order)[k] = v
+    return PolyMat.from_entries(dim, order, [
+        (r, c, TruncPoly.from_coeffs(v)) for (r, c), v in coeffs.items()])
+
+
+def gauss_jordan_inverse(m):
+    """The inverse of an invertible rational SparseMat, by Gauss-Jordan
+    elimination on dense rows of Fractions."""
+    n = m.rows
+    rows = [[m.get(r, c) for c in range(n)] + [Fraction(int(r == c))
+                                               for c in range(n)]
+            for r in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        pivot = [v / rows[p][c] for v in rows[p]]
+        rows[p] = rows[c]
+        rows[c] = pivot
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return SparseMat.from_dense([row[n:] for row in rows])
 
 
 def to_polymat(rows):
@@ -179,15 +210,16 @@ def test_json_round_trip_and_entries(a):
 
 def convolution_compose(a, b):
     """The rational product compose ran before the slot kernel, kept as
-    its oracle: part k of a @ b sums a.parts[i] @ b.parts[k - i] as
-    Fraction sparse matrix products."""
+    its oracle: coefficient k of a @ b sums the products of coefficient
+    i of a and coefficient k - i of b as Fraction sparse matrices."""
     parts = []
     for k in range(a.order):
         acc = SparseMat(a.dim, a.dim)
         for i in range(k + 1):
-            acc = acc.add(a.parts[i].matmul(b.parts[k - i]))
+            acc = acc.add(a.coefficient_matrix(i).matmul(
+                b.coefficient_matrix(k - i)))
         parts.append(acc)
-    return PolyMat(a.dim, a.order, parts)
+    return from_parts(a.dim, a.order, parts)
 
 
 def dens_fractions(dens):
@@ -208,7 +240,7 @@ def sparse_polymats(draw, dim, order, const_dens, high_dens):
         entries = draw(st.dictionaries(cells, values, max_size=dim * dim))
         parts.append(SparseMat(dim, dim,
                                {key: v for key, v in entries.items() if v}))
-    return PolyMat(dim, order, parts)
+    return from_parts(dim, order, parts)
 
 
 # denominators shared by both, the constant term apart from the rest
@@ -269,16 +301,16 @@ def recurrence_inverse(m):
     """The rational inverse PolyMat.inverse ran before the slot kernel,
     kept as its oracle: invert the constant term, then lift order by
     order, X_k = -inv0 sum_{j=1..k} M_j X_{k-j}, in Fraction sparse
-    matrix products."""
-    unipotent = m.parts[0] == SparseMat.identity(m.dim)
-    inv0 = m.parts[0] if unipotent else invert_rational(m.parts[0])
+    matrix products, the constant term inverted by gauss_jordan_inverse."""
+    unipotent = m.constant == SparseMat.identity(m.dim)
+    inv0 = m.constant if unipotent else gauss_jordan_inverse(m.constant)
     x = [inv0]
     for k in range(1, m.order):
         acc = SparseMat(m.dim, m.dim)
         for j in range(1, k + 1):
-            acc = acc.add(m.parts[j].matmul(x[k - j]))
+            acc = acc.add(m.coefficient_matrix(j).matmul(x[k - j]))
         x.append((acc if unipotent else inv0.matmul(acc)).scaled(-1))
-    return PolyMat(m.dim, m.order, x)
+    return from_parts(m.dim, m.order, x)
 
 
 @st.composite
@@ -313,18 +345,19 @@ def invertible_polymats(draw):
     when k >= N)."""
     dim, order = draw(st.integers(0, 6)), draw(st.integers(1, 5))
     dens = draw(DENOMINATORS)
-    higher = draw(sparse_polymats(dim, order, *dens)).parts[1:]
+    drawn = draw(sparse_polymats(dim, order, *dens))
+    higher = [drawn.coefficient_matrix(k) for k in range(1, order)]
     kind = draw(st.sampled_from(["unipotent", "permutation", "rational",
                                  "step"]))
     if kind == "step":
         k = draw(st.integers(2, max(2, order - 1)))
-        g = draw(sparse_polymats(dim, k + 1, *dens)).parts[k]
+        g = draw(sparse_polymats(dim, k + 1, *dens)).coefficient_matrix(k)
         return PolyMat.identity(dim, order).add(
             PolyMat.from_rational(g, order, k))
     const = {"unipotent": st.just(SparseMat.identity(dim)),
              "permutation": permutation_consts(dim),
              "rational": rational_consts(dim, dens[0])}[kind]
-    return PolyMat(dim, order, (draw(const),) + higher)
+    return from_parts(dim, order, [draw(const)] + higher)
 
 
 @settings(max_examples=150)
@@ -360,6 +393,71 @@ def test_singular_constant_raises(dim, order, dens, data):
     m = data.draw(sparse_polymats(dim, order, *dens))
     col = data.draw(st.integers(0, dim - 1))
     const = SparseMat(dim, dim, {(r, c): v for (r, c), v
-                                 in m.parts[0].entries.items() if c != col})
+                                 in m.constant.entries.items() if c != col})
     with pytest.raises(ZeroDivisionError):
-        PolyMat(dim, order, (const,) + m.parts[1:]).inverse()
+        from_parts(dim, order, [const] + [m.coefficient_matrix(k)
+                                          for k in range(1, order)]).inverse()
+
+
+# -- the canonical state: one matrix, one (dim, order, dens, block) ---------
+
+def state(m):
+    return m.dim, m.order, m.dens, m.block
+
+
+def assert_reduced(m):
+    """Every degree holds nonzero ints over a positive denominator with
+    no factor common to all of them."""
+    assert len(m.block) == len(m.dens) == m.order
+    for part, den in zip(m.block, m.dens):
+        assert type(den) is int and den >= 1
+        assert all(type(a) is int and a for a in part.values())
+        assert gcd(den, *part.values()) == 1
+
+
+nonzero_scalars = st.builds(Fraction, st.integers(-60, 60).filter(bool),
+                            st.sampled_from([1, 2, 9, 35, 64]))
+
+
+@st.composite
+def canonical_cases(draw):
+    """(m, s, p): a sparse matrix, a nonzero scalar and a unit TruncPoly
+    of its order."""
+    dim, order = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    m = draw(sparse_polymats(dim, order, *draw(DENOMINATORS)))
+    return m, draw(nonzero_scalars), draw(polys(order, unit=True))
+
+
+@settings(max_examples=80)
+@given(canonical_cases())
+def test_every_route_to_a_matrix_holds_one_reduced_state(case):
+    m, s, p = case
+    ident = PolyMat.identity(m.dim, m.order)
+    routes = [PolyMat.from_entries(m.dim, m.order, m.entries()),
+              PolyMat.from_json(m.to_json()),
+              ident.compose(m), m.compose(ident),
+              m.scaled(s).scaled(1 / s), m.scaled(p).scaled(p.inverse())]
+    assert_reduced(m)
+    for other in routes:
+        assert other == m
+        assert state(other) == state(m)
+        assert_reduced(other)
+
+
+@settings(max_examples=60)
+@given(invertible_polymats())
+def test_double_inverse_holds_the_same_reduced_state(m):
+    twice = m.inverse().inverse()
+    assert twice == m
+    assert state(twice) == state(m)
+    assert_reduced(m.inverse())
+    assert_reduced(twice)
+
+
+@PROPS
+@given(compose_pairs(), nonzero_scalars)
+def test_products_and_sums_are_reduced(pair, s):
+    a, b = pair
+    for m in (a.compose(b), a.tensor(b), a.add(b), a.sub(a), a.scaled(s),
+              a.power(2), a.lift(a.order + 1), a.lift(1)):
+        assert_reduced(m)

@@ -9,10 +9,11 @@ divmod, the zeros dropped after every letter.  A unipotent letter, one
 whose constant term is the identity, is compiled without that term and
 applied in place as X += N X; the oracle applies it into a copy of its
 input, and a separate property compares it with the same letter, its
-identity kept, applied into a fresh block.  _from_blocks builds its
-parts without SparseMat's per-entry check, so every product below is
-rebuilt part by part through SparseMat(rows, cols, entries), which
-makes that check.
+identity kept, applied into a fresh block.  Every product below is
+read back coefficient by coefficient and rebuilt through SparseMat(rows,
+cols, entries), whose per-entry check finds a stored zero or an entry
+out of range; the PolyMat constructor's own checks of a block are
+tested on planted faults.
 """
 
 from fractions import Fraction
@@ -28,8 +29,7 @@ from test_polymat_properties import (dense_mats, fixed_dense,
 from test_yangbaxter import _dense_witness
 from ybrack.linalg import DimensionMismatch, SparseMat
 from ybrack.truncpoly import (PolyMat, TruncPoly, _apply_slots, _apply_word,
-                              _block, _compile_word, _from_blocks, _int_blocks,
-                              _transposed)
+                              _block, _compile_word, _int_blocks, _transposed)
 from ybrack.yangbaxter import (BraidWord, YBOperator, YbeVerdict, _braid_word,
                                braid_rep, check_ybe, conjugate)
 
@@ -256,8 +256,7 @@ def test_column_letters_multiply_on_the_right(case):
     letters = _compile_word([(_transposed(ab, n), n)], word, order)
     got = _apply_word(letters, word, cb)
     dens = [d * da * da * big ** k for k in range(order)]
-    assert _from_blocks([got], dens, dim, order) \
-        == c.compose(alpha.tensor(alpha))
+    assert PolyMat(dim, order, got, dens) == c.compose(alpha.tensor(alpha))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -328,12 +327,13 @@ def test_check_ybe_witness_matches_dense_oracle_on_signed_operators(op):
     assert (verdict.ok, verdict.witness) == (witness is None, witness)
 
 
-# -- write-back: every part passes the checking constructor -----------------
+# -- results: every coefficient passes the checking constructor -------------
 
 def assert_clean(m: PolyMat):
-    """No stored zero and no entry out of range in any part, by the
-    checking constructor, and every value a Fraction."""
-    for part in m.parts:
+    """No stored zero and no entry out of range in any coefficient
+    matrix, by the checking constructor, and every value a Fraction."""
+    for k in range(m.order):
+        part = m.coefficient_matrix(k)
         assert SparseMat(part.rows, part.cols, dict(part.entries)) == part
         assert all(type(v) is Fraction for v in part.entries.values())
 
@@ -396,21 +396,21 @@ def test_conjugate_stores_no_zero(case):
     assert conjugate(out, alpha.inverse()) == op
 
 
-def test_from_blocks_rejects_a_planted_zero():
+def test_polymat_rejects_a_planted_zero():
     with pytest.raises(ValueError, match="zero"):
-        _from_blocks([[{0: 1, 4: 0}]], [1], 3, 1)
+        PolyMat(3, 1, [{0: 1, 4: 0}], [1])
     with pytest.raises(ValueError, match="zero"):
-        _from_blocks([[{0: 1}, {8: 0}]], [1, 1], 3, 2)
+        PolyMat(3, 2, [{0: 1}, {8: 0}], [1, 1])
 
 
-def test_from_blocks_rejects_a_key_out_of_range():
+def test_polymat_rejects_a_key_out_of_range():
     with pytest.raises(DimensionMismatch):
-        _from_blocks([[{9: 1}]], [1], 3, 1)
+        PolyMat(3, 1, [{9: 1}], [1])
     with pytest.raises(DimensionMismatch):
-        _from_blocks([[{}, {-1: 1}]], [1, 1], 3, 2)
-    # the last key in range is written back
-    m = _from_blocks([[{8: 2}]], [3], 3, 1)
-    assert m.parts[0].entries == {(2, 2): Fraction(2, 3)}
+        PolyMat(3, 2, [{}, {-1: 1}], [1, 1])
+    # the last key in range is kept
+    m = PolyMat(3, 1, [{8: 2}], [3])
+    assert m.coefficient_matrix(0).entries == {(2, 2): Fraction(2, 3)}
 
 
 # -- _int_blocks: one u = h/D for a list of matrices -------------------------
@@ -419,8 +419,8 @@ def own_scales(m: PolyMat) -> tuple[int, int]:
     """(d0, D) of m alone, from its fractions: d0 clears the constant
     term, D the h-coefficients of d0 * m."""
     d0 = lcm(*(a.denominator for a in m.constant.entries.values()))
-    return d0, lcm(*((d0 * a).denominator for p in m.parts[1:]
-                     for a in p.entries.values()))
+    return d0, lcm(*((d0 * a).denominator for k in range(1, m.order)
+                     for a in m.coefficient_matrix(k).entries.values()))
 
 
 @PROPS
@@ -438,7 +438,7 @@ def test_int_blocks_share_one_u_and_write_back(dense):
         assert len(block) == m.order
         assert all(type(a) is int for part in block for a in part.values())
         dens = [d0 * big ** k for k in range(m.order)]
-        assert _from_blocks([block], dens, m.dim, m.order) == m
+        assert PolyMat(m.dim, m.order, block, dens) == m
 
 
 def test_int_blocks_take_d_one_when_d0_clears_the_h_terms():

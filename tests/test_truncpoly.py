@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybrack.linalg import SparseMat, invert_rational
+from ybrack.linalg import SparseMat
 from ybrack.truncpoly import PolyMat, TruncPoly
 
 F = Fraction
@@ -122,6 +122,15 @@ def test_polymat_coefficient_matrix_and_lift():
     assert m.lift(5).coefficient_matrix(2) == base
 
 
+def test_polymat_get_outside_the_matrix_reads_zero():
+    """(3, 0) and (-1, 1) of a 3 x 3 matrix would have the keys of (0, 1)
+    and (2, 0) if they were not checked."""
+    m = PolyMat.from_entries(3, 2, [(0, 1, 5), (2, 0, F(1, 2))])
+    assert m.get(0, 1) == TruncPoly.const(5, 2)
+    assert m.get(3, 0) == TruncPoly.zero(2)
+    assert m.get(-1, 1) == TruncPoly.zero(2)
+
+
 def test_polymat_json_round_trip():
     rng = random.Random(13)
     m = _rand_polymat(3, 2, rng)
@@ -130,7 +139,8 @@ def test_polymat_json_round_trip():
 
 def test_invert_rational():
     m = SparseMat.from_dense([[2, 1], [1, 1]])
-    inv = invert_rational(m)
+    inv = PolyMat.from_rational(m, 1).inverse().constant
     assert m.matmul(inv) == SparseMat.identity(2)
     with pytest.raises(ZeroDivisionError):
-        invert_rational(SparseMat.from_dense([[1, 2], [2, 4]]))
+        PolyMat.from_rational(SparseMat.from_dense([[1, 2], [2, 4]]),
+                              1).inverse()
